@@ -15,11 +15,12 @@
 //! campaign report  <report.json|campaign-dir> [--timings]
 //! ```
 
-use dl2fence_campaign::stream::{run_shard_expanded, run_streaming_expanded_with};
+use dl2fence_campaign::output::write_stdout;
+use dl2fence_campaign::stream::run_streaming_expanded_with;
 use dl2fence_campaign::{
-    compact, expand, merge_with_opts, resume_with, serve_sched, spec_fingerprint, status,
-    summarize_events, work, CampaignOutcome, CampaignReport, CampaignSpec, Executor, ServeOptions,
-    ShardSlice, SpillPolicy, WatchSnapshot, WorkOptions, EVENTS_FILE,
+    compact, expand, merge_with_opts, resume_with, run_shard, serve_sched, shard_plan,
+    spec_fingerprint, status, summarize_events, work, CampaignDir, CampaignOutcome, CampaignReport,
+    CampaignSpec, Executor, ServeOptions, SpillPolicy, WatchSnapshot, WorkOptions, EVENTS_FILE,
 };
 use dl2fence_telemetry::Telemetry;
 use std::io::IsTerminal as _;
@@ -44,16 +45,18 @@ usage:
       events to DIR/events.jsonl for `watch` and `report --timings`.
   campaign resume <campaign-dir> [--spec PATH] [--workers N] [--quiet]
                   [--spill-threshold N | --no-spill] [--telemetry]
-      Resume an interrupted `run --out` or `shard` campaign: verify the
-      stored spec fingerprint (and PATH's, when given), re-execute only the
-      missing run indices, and — for whole-campaign directories — rebuild a
-      report byte-identical to an uninterrupted run. --telemetry appends to
+      Resume an interrupted `run --out` campaign: verify the stored spec
+      fingerprint (and PATH's, when given), re-execute only the missing run
+      indices, and rebuild a report byte-identical to an uninterrupted run.
+      A shard or worker directory is only healed (torn tail dropped); re-run
+      its `shard` or `work` command to continue it. --telemetry appends to
       DIR/events.jsonl, continuing the original run's sequence numbers.
   campaign shard <spec.toml|spec.json> --shards N --index I --out DIR
                  [--workers W] [--quiet] [--telemetry]
       Execute shard I of N: the run indices congruent to I modulo N, streamed
-      to an ordinary campaign directory whose manifest records the slice.
-      Run one shard per machine, collect the directories, then `merge`.
+      to the worker directory `shard-I-of-N` at DIR. Running the same command
+      again on DIR continues a crashed shard (stored runs are skipped). Run
+      one shard per machine, collect the directories, then `merge`.
   campaign merge <dir>... --out DIR [--workers N] [--reexec-gaps] [--quiet]
                  [--spill-threshold N | --no-spill]
       Merge shard directories sharing one spec fingerprint into DIR: the
@@ -93,10 +96,11 @@ usage:
       compact while the campaign is still executing (records appended
       during the rewrite would be lost) — status is the live-safe command.
   campaign status <dir>... [--json]
-      Read-only progress inspection: per directory the stored/missing run
-      counts, exact gap list, shard slice, torn-tail state, log and spill
-      sizes; over several directories, the union gap list a merge would
-      refuse on. Safe to run while a campaign is executing.
+      Read-only progress inspection: per directory the stored run count,
+      worker id, torn-tail state, log and spill sizes, and a whole
+      campaign's exact gap list; over several directories, the union gap
+      list a merge would refuse on. Safe to run while a campaign is
+      executing.
   campaign watch <campaign-dir> [--interval SECS] [--json]
       Live progress for one campaign directory: completed/missing runs with
       a progress bar, throughput and ETA, per-worker utilization and
@@ -254,18 +258,16 @@ fn cmd_expand(path: &str) -> Result<(), String> {
     let spec = load_spec(path)?;
     let runs = expand(&spec).map_err(|e| e.to_string())?;
     for run in &runs {
-        println!(
-            "{}",
-            serde_json::to_string(run).expect("run serialization cannot fail")
-        );
+        let line = serde_json::to_string(run).expect("run serialization cannot fail");
+        write_stdout(&format!("{line}\n"));
     }
     eprintln!("{} runs expanded from campaign `{}`", runs.len(), spec.name);
     Ok(())
 }
 
 /// Builds the telemetry handle for an executing subcommand: a JSONL sink
-/// on `dir/events.jsonl`, created fresh (`run`/`shard`) or appended to
-/// with continued sequence numbers (`resume`).
+/// on `dir/events.jsonl`, created fresh (`run`) or appended to with
+/// continued sequence numbers (`resume`, and a re-run `shard`/`work`).
 fn telemetry_in(dir: &Path, append: bool) -> Result<Telemetry, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(EVENTS_FILE);
@@ -360,13 +362,17 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
             Some(&Path::new(dir).join("report.json")),
             flags.quiet,
         ),
-        // A shard directory: runs are complete, but a shard builds no
-        // report — that is merge's job.
+        // A worker directory: healed, but only its own command knows what
+        // it owns, and merge builds the report.
         None => {
             if !flags.quiet {
+                let manifest = CampaignDir::open(dir)
+                    .and_then(|d| d.manifest())
+                    .map_err(|e| e.to_string())?;
                 eprintln!(
-                    "shard in {dir} is complete ({:.2}s); merge the shards to build the report",
-                    started.elapsed().as_secs_f64()
+                    "{dir} is worker directory `{}`; its log is healed — re-run the same \
+                     `campaign shard` or `campaign work` command to continue it, then merge",
+                    manifest.worker.unwrap_or_default()
                 );
             }
         }
@@ -377,35 +383,33 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
 fn cmd_shard(args: &[String]) -> Result<(), String> {
     let flags = ExecFlags::parse(args, true, false, true, false)?;
     let spec = load_spec(flags.single_path("shard")?)?;
-    let shard = ShardSlice {
-        index: flags.index.ok_or("shard needs --index I")?,
-        count: flags.shards.ok_or("shard needs --shards N")?,
-    };
+    let index = flags.index.ok_or("shard needs --index I")?;
+    let count = flags.shards.ok_or("shard needs --shards N")?;
     let out = flags.out.clone().ok_or("shard needs --out DIR")?;
+    let total = expand(&spec).map_err(|e| e.to_string())?.len();
+    let owned = shard_plan(index, count, total)
+        .map_err(|e| e.to_string())?
+        .len();
     let mut executor = flags.executor();
     if flags.telemetry {
-        executor = executor.with_telemetry(telemetry_in(&out, false)?);
+        // A re-run continues the shard, so it appends to its event log.
+        let append = out.join(EVENTS_FILE).exists();
+        executor = executor.with_telemetry(telemetry_in(&out, append)?);
     }
-    let runs = expand(&spec).map_err(|e| e.to_string())?;
     if !flags.quiet {
         eprintln!(
-            "campaign `{}` (fingerprint {}): shard {}/{} on {} workers...",
+            "campaign `{}` (fingerprint {}): shard {index}/{count} on {} workers...",
             spec.name,
             spec_fingerprint(&spec),
-            shard.index,
-            shard.count,
             executor.workers()
         );
     }
     let started = Instant::now();
-    let executed =
-        run_shard_expanded(&executor, &spec, &runs, shard, &out).map_err(|e| e.to_string())?;
+    let executed = run_shard(&executor, &spec, index, count, &out).map_err(|e| e.to_string())?;
     if !flags.quiet {
         eprintln!(
-            "shard {}/{}: {executed} of {} runs streamed to {} in {:.2}s",
-            shard.index,
-            shard.count,
-            runs.len(),
+            "shard {index}/{count}: {executed} run(s) executed; its {owned} of {total} runs \
+             are stored in {} ({:.2}s)",
             out.display(),
             started.elapsed().as_secs_f64()
         );
@@ -692,9 +696,9 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     }
     let report = status(&paths).map_err(|e| e.to_string())?;
     if json {
-        println!("{}", report.to_json());
+        write_stdout(&format!("{}\n", report.to_json()));
     } else {
-        print!("{}", report.render());
+        write_stdout(&report.render());
     }
     Ok(())
 }
@@ -715,7 +719,7 @@ fn finish(report: &CampaignReport, started: Instant, written_to: Option<&Path>, 
                 eprintln!("report written to {}", path.display());
             }
         }
-        None => println!("{}", report.to_json()),
+        None => write_stdout(&format!("{}\n", report.to_json())),
     }
 }
 
@@ -745,17 +749,15 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     if json {
         // One machine-readable snapshot and exit — the CI entry point.
         let snapshot = WatchSnapshot::capture(path).map_err(|e| e.to_string())?;
-        println!("{}", snapshot.to_json());
+        write_stdout(&format!("{}\n", snapshot.to_json()));
         return Ok(());
     }
     let clear = std::io::stdout().is_terminal();
     loop {
         let snapshot = WatchSnapshot::capture(path).map_err(|e| e.to_string())?;
-        if clear {
-            // Home the cursor and wipe the previous frame.
-            print!("\x1b[H\x1b[2J");
-        }
-        print!("{}", snapshot.render());
+        // Home the cursor and wipe the previous frame on a terminal.
+        let home = if clear { "\x1b[H\x1b[2J" } else { "" };
+        write_stdout(&format!("{home}{}", snapshot.render()));
         if snapshot.complete() {
             break;
         }
@@ -791,7 +793,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
                 file.display()
             ));
         }
-        println!("{}", summary.to_json());
+        write_stdout(&format!("{}\n", summary.to_json()));
         return Ok(());
     }
     // Accept either a report file or a campaign directory.
@@ -803,6 +805,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(&file)
         .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
     let report = CampaignReport::from_json(&text).map_err(|e| e.to_string())?;
-    print!("{}", report.render());
+    write_stdout(&report.render());
     Ok(())
 }

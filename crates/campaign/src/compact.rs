@@ -11,9 +11,9 @@
 //! [`crate::spill::SampleStore`] first (`--strip-samples`), shrinking the
 //! log to its scalar skeleton.
 //!
-//! The compacted directory stays an ordinary campaign (or shard) directory:
-//! resumable — missing indices are re-executed and appended exactly as
-//! before, and a stripped directory's report rebuild finds the stripped
+//! The compacted directory stays an ordinary campaign (or worker)
+//! directory: resumable — missing indices are re-executed and appended
+//! exactly as before, and a stripped directory's report rebuild finds the stripped
 //! records' samples in the store by run index — and mergeable, because
 //! [`crate::merge::merge`] unions sample stores alongside run logs. (Only
 //! mixing a stripped and an unstripped copy of the *same* record trips the
@@ -42,7 +42,7 @@ pub struct CompactStats {
     pub bytes_after: u64,
 }
 
-/// Compacts the campaign (or shard) directory at `root`: rewrites
+/// Compacts the campaign (or worker) directory at `root`: rewrites
 /// `runs.jsonl` in run-index order with duplicates and any torn tail
 /// dropped, atomically. With `strip_samples`, each record's labeled-sample
 /// payload is first appended to the directory's sample store (synced to

@@ -236,28 +236,13 @@ impl Executor {
 
     /// Executes an already expanded run matrix, returning results in matrix
     /// order.
-    pub fn execute_runs(&self, sim: &SimParams, runs: &[RunSpec]) -> Vec<RunResult> {
-        self.execute_runs_with(sim, runs, |_| {})
-    }
-
-    /// Executes a run matrix, invoking `observer` on the calling thread for
-    /// each result **as it completes** — in completion order, not matrix
-    /// order — before returning all results reassembled in matrix order.
     ///
-    /// Callers that persist results and do not need them reassembled (the
-    /// streaming layer, [`crate::stream`]) use [`Self::try_run_jobs_foreach`]
-    /// instead, which retains nothing.
-    pub fn execute_runs_with(
-        &self,
-        sim: &SimParams,
-        runs: &[RunSpec],
-        mut observer: impl FnMut(&RunResult),
-    ) -> Vec<RunResult> {
-        self.run_jobs_with(
-            runs,
-            |run| execute_run(sim, run),
-            |_, result| observer(result),
-        )
+    /// # Panics
+    ///
+    /// Panics if a run panics, naming the failed run's job index (see
+    /// [`JobPanic`]).
+    pub fn execute_runs(&self, sim: &SimParams, runs: &[RunSpec]) -> Vec<RunResult> {
+        self.run_jobs(runs, |run| execute_run(sim, run))
     }
 
     /// Runs arbitrary independent jobs on the worker pool, returning results
@@ -266,71 +251,27 @@ impl Executor {
     /// This is the generic pool behind both run execution and the parallel
     /// eval phase: workers pull job indices from a shared atomic counter and
     /// results are slotted back by index.
-    pub fn run_jobs<T, R>(&self, jobs: &[T], job: impl Fn(&T) -> R + Sync) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        self.run_jobs_with(jobs, job, |_, _| {})
-    }
-
-    /// [`Self::run_jobs`] plus a completion observer invoked on the calling
-    /// thread, in completion order, with each `(job index, result)` pair.
     ///
     /// # Panics
     ///
     /// Panics if a job closure panics, with a message naming the job index
     /// (see [`JobPanic`]).
-    pub fn run_jobs_with<T, R>(
-        &self,
-        jobs: &[T],
-        job: impl Fn(&T) -> R + Sync,
-        mut observer: impl FnMut(usize, &R),
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        self.try_run_jobs_with(jobs, job, |i, r| {
-            observer(i, r);
-            true
-        })
-        .unwrap_or_else(|p| panic!("{p}"))
-        .expect("an always-continue observer cannot abort")
-    }
-
-    /// [`Self::run_jobs_with`] with an abortable observer: returning `false`
-    /// stops scheduling new jobs, drains the pool (in-flight jobs finish and
-    /// are discarded) and yields `Ok(None)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JobPanic`] naming the failing job index if a job closure
-    /// panics.
-    pub fn try_run_jobs_with<T, R>(
-        &self,
-        jobs: &[T],
-        job: impl Fn(&T) -> R + Sync,
-        mut observer: impl FnMut(usize, &R) -> bool,
-    ) -> Result<Option<Vec<R>>, JobPanic>
+    pub fn run_jobs<T, R>(&self, jobs: &[T], job: impl Fn(&T) -> R + Sync) -> Vec<R>
     where
         T: Sync,
         R: Send,
     {
         let mut slots: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
-        match self.try_run_jobs_foreach(jobs, job, |i, result| {
-            let keep_going = observer(i, &result);
+        self.try_run_jobs_foreach(jobs, job, |i, result| {
             slots[i] = Some(result);
-            keep_going
-        })? {
-            None => Ok(None),
-            Some(()) => Ok(Some(
-                slots
-                    .into_iter()
-                    .map(|r| r.expect("every job index is executed exactly once"))
-                    .collect(),
-            )),
-        }
+            true
+        })
+        .unwrap_or_else(|p| panic!("{p}"))
+        .expect("an always-continue observer cannot abort");
+        slots
+            .into_iter()
+            .map(|r| r.expect("every job index is executed exactly once"))
+            .collect()
     }
 
     /// The streaming primitive behind the pool: runs every job, handing each
@@ -539,10 +480,16 @@ mod tests {
         let runs = grid::expand(&spec).unwrap();
         for workers in [1, 4] {
             let mut seen = Vec::new();
-            let results = Executor::new(workers).execute_runs_with(&spec.sim, &runs, |r| {
-                seen.push(r.spec.index);
-            });
-            assert_eq!(results.len(), runs.len());
+            let done = Executor::new(workers).try_run_jobs_foreach(
+                &runs,
+                |run| execute_run(&spec.sim, run),
+                |i, r| {
+                    assert_eq!(r.spec, runs[i]);
+                    seen.push(r.spec.index);
+                    true
+                },
+            );
+            assert_eq!(done, Ok(Some(())));
             seen.sort_unstable();
             assert_eq!(seen, (0..runs.len()).collect::<Vec<_>>());
         }

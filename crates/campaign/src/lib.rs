@@ -28,10 +28,11 @@
 //!    rebuilding a byte-identical report (the stored [`spec_fingerprint`]
 //!    guards against mixing results from different specs).
 //! 6. **Cross-machine sharding** — [`run_shard`] executes a deterministic
-//!    strided slice of the run matrix into an ordinary campaign directory,
-//!    and [`merge`](merge::merge) reunites shard directories (verifying
-//!    fingerprints, deduplicating identical records, refusing gaps and
-//!    conflicts) into a report byte-identical to a single-machine run.
+//!    strided slice of the run matrix into a worker directory (re-running
+//!    it continues a crashed shard), and [`merge`](merge::merge) reunites
+//!    shard and worker directories (verifying fingerprints, deduplicating
+//!    identical records, refusing gaps and conflicts) into a report
+//!    byte-identical to a single-machine run.
 //! 7. **Bounded memory end to end** — the eval phase's per-mesh sample
 //!    pools (the one remaining campaign-sized buffer) spill to a
 //!    [`spill::SampleStore`] inside the campaign directory past a
@@ -86,6 +87,7 @@ pub mod grid;
 pub mod lease;
 pub mod merge;
 pub mod minitoml;
+pub mod output;
 pub mod report;
 pub mod sched;
 pub mod spec;
@@ -115,7 +117,7 @@ pub use spec::{
 pub use spill::{SampleBatch, SampleStore, SpillStats};
 pub use status::{human_bytes, status, DirStatus, StatusReport};
 pub use stream::{
-    resume, resume_with, run_shard, run_streaming, spec_fingerprint, CampaignDir, LogIndex,
-    Manifest, RecordEntry, ShardSlice, SpillPolicy, DEFAULT_SPILL_THRESHOLD, EVENTS_FILE,
+    resume, resume_with, run_shard, run_streaming, shard_plan, spec_fingerprint, CampaignDir,
+    LogIndex, Manifest, RecordEntry, SpillPolicy, DEFAULT_SPILL_THRESHOLD, EVENTS_FILE,
 };
 pub use watch::WatchSnapshot;

@@ -1,7 +1,7 @@
 //! Merging sharded campaign directories back into one campaign.
 //!
 //! [`merge`] reunites any set of campaign directories that share a spec
-//! fingerprint — the shard directories written by
+//! fingerprint — the shard worker directories written by
 //! [`crate::stream::run_shard`] on different machines, a whole-campaign
 //! directory, or any mix — into a fresh campaign directory whose
 //! `report.json` is **byte-identical** to an uninterrupted single-machine
@@ -22,7 +22,7 @@
 //!    into the shared [`ReportAccumulator`], and dropped.
 //!
 //! Before replaying, the union must be gapless: any run index stored by no
-//! input aborts the merge with the exact gap list (resume the shard that
+//! input aborts the merge with the exact gap list (re-run the shard that
 //! owns it, then merge again). With gap re-execution enabled
 //! ([`merge_with_opts`], `campaign merge --reexec-gaps`, and the
 //! scheduler's final assembly), residual gaps are instead **speculatively
@@ -45,10 +45,12 @@ use std::path::{Path, PathBuf};
 /// streams its records; removed once the merged report is written.
 const GAPFILL_DIR: &str = ".gapfill";
 
-/// One opened input of a merge: its directory, record index, and (once the
-/// first record is read back) an open `runs.jsonl` handle — duplicate
-/// checks and the replay loop seek within it instead of reopening the file
-/// per record. Lazy because a source may hold no records at all.
+/// One opened input of a merge: its directory, record index, and the open
+/// `runs.jsonl` handle the index was read from — duplicate checks and the
+/// replay loop seek within it instead of reopening the file per record, and
+/// it keeps reading the indexed bytes even if the input's log is replaced
+/// meanwhile (a scheduler worker compacting on exit). `None` until first
+/// use for the gap re-execution log, or for an input with no log.
 struct MergeSource {
     dir: CampaignDir,
     index: LogIndex,
@@ -210,7 +212,7 @@ fn merge_core(
     if !gaps.is_empty() {
         if !reexec_gaps {
             return Err(SpecError::new(format!(
-                "merge is missing {} of {} run indices: [{}]; resume the shard(s) that \
+                "merge is missing {} of {} run indices: [{}]; re-run the shard(s) that \
                  own them, then merge again",
                 gaps.len(),
                 runs.len(),
@@ -229,7 +231,7 @@ fn merge_core(
         let gap_dir = CampaignDir::create(&scratch, spec, runs.len())?;
         let pending: Vec<RunSpec> = gaps.iter().map(|&i| runs[i].clone()).collect();
         let mut writer = gap_dir.open_runs_for_append()?;
-        crate::stream::stream_pending(executor, spec, &pending, &gap_dir, &mut writer)?;
+        crate::stream::stream_pending(executor, spec, &pending, &gap_dir, &mut writer, |_| Ok(()))?;
         writer
             .flush()
             .map_err(|e| SpecError::new(format!("cannot flush gap re-execution log: {e}")))?;
@@ -316,7 +318,7 @@ fn merge_core(
 
 /// Unions the inputs' spilled sample stores (if any) into the merged
 /// directory's store, batch by batch in input order — identical duplicate
-/// batches dedupe (shards re-spilled after a resume overlap), conflicting
+/// batches dedupe (shards re-spilled after a restart overlap), conflicting
 /// ones abort. Returns `None` when no input carries a store.
 fn unite_sample_stores(
     sources: &[MergeSource],
@@ -392,12 +394,8 @@ fn index_inputs(
                 manifest.fingerprint
             )));
         }
-        let index = dir.index_log(&runs)?;
-        sources.push(MergeSource {
-            dir,
-            index,
-            reader: None,
-        });
+        let (index, reader) = dir.index_log_pinned(&runs)?;
+        sources.push(MergeSource { dir, index, reader });
     }
     Ok((spec, runs, sources))
 }

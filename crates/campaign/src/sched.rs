@@ -1,8 +1,8 @@
 //! Coordinator-mode dynamic scheduling: lease run-index ranges to workers.
 //!
-//! Static sharding ([`crate::stream::run_shard`]) decides the split up
-//! front, so heterogeneous machines finish at wildly different times and a
-//! crashed shard is only discovered at merge. This module turns the
+//! Static sharding ([`crate::stream::run_shard`]) fixes each worker's plan
+//! up front, so heterogeneous machines finish at wildly different times and
+//! a crashed shard is only discovered at merge. This module turns the
 //! campaign directory into a **fleet scheduler**:
 //!
 //! ```text
@@ -13,11 +13,12 @@
 //! The coordinator owns the campaign directory and grants **leases** —
 //! bounded run-index batches stamped with the spec fingerprint and a
 //! deadline ([`crate::lease::Lease`]) — to workers as they ask for them.
-//! Each worker executes its leased runs into its own ordinary campaign
-//! directory under `<dir>/workers/<id>` (per-worker logs and per-worker
-//! spilled sample stores, so no two machines ever append to one file) and
-//! reports per-run progress; **progress is the heartbeat**, extending the
-//! lease deadline. A lease whose deadline passes is expired and its
+//! Each worker executes its leased runs into its own worker directory under
+//! `<dir>/workers/<id>` (per-worker logs and per-worker spilled sample
+//! stores, so no two machines ever append to one file) — the same kind of
+//! directory, opened and streamed by the same code, as a static shard's —
+//! and reports per-run progress; **progress is the heartbeat**, extending
+//! the lease deadline. A lease whose deadline passes is expired and its
 //! unfinished indices are re-leased to the next worker that asks — and
 //! because every run is deterministic from spec + index, a worker that
 //! crashed *after* persisting a record merely produces an identical
@@ -28,12 +29,10 @@
 //!
 //! The wire protocol is deliberately file-first — one JSON message per
 //! file, written atomically via temp + rename under `<dir>/sched/` — so a
-//! shared filesystem is the only infrastructure a fleet needs. Both sides
-//! speak through the [`CoordTransport`] / [`WorkerTransport`] traits, so a
-//! socket front-end can replace the directory exchange without touching
-//! the scheduler or the worker loop.
+//! shared filesystem is the only infrastructure a fleet needs
+//! ([`FsCoordTransport`] / [`FsWorkerTransport`]).
 
-use crate::executor::{execute_run, Executor};
+use crate::executor::Executor;
 use crate::grid::{self, RunSpec};
 use crate::lease::{
     append_ledger, open_ledger_for_append, read_ledger, Lease, LedgerRecord, LEDGER_COMPLETED,
@@ -41,7 +40,9 @@ use crate::lease::{
 };
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, SpecError};
-use crate::stream::{spec_fingerprint, CampaignDir, SpillPolicy, MANIFEST_FILE};
+use crate::stream::{
+    open_worker_dir, spec_fingerprint, stream_pending, CampaignDir, SpillPolicy, MANIFEST_FILE,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -309,53 +310,6 @@ impl Scheduler {
     }
 }
 
-/// The coordinator's side of the scheduling wire protocol.
-pub trait CoordTransport {
-    /// Drains every queued worker message, ordered by (worker, seq).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] on transport failure.
-    fn poll(&mut self) -> Result<Vec<WorkerMsg>, SpecError>;
-
-    /// Delivers `msg` to `worker` (replacing any unread previous reply —
-    /// a worker has at most one request outstanding).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] on transport failure.
-    fn reply(&mut self, worker: &str, msg: &CoordMsg) -> Result<(), SpecError>;
-
-    /// Raises the standing "drained" signal every current and future worker
-    /// observes, even ones the coordinator never heard from.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] on transport failure.
-    fn announce_done(&mut self) -> Result<(), SpecError>;
-}
-
-/// A worker's side of the scheduling wire protocol.
-pub trait WorkerTransport {
-    /// Sends one message to the coordinator.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] on transport failure.
-    fn send(&mut self, msg: &WorkerMsg) -> Result<(), SpecError>;
-
-    /// Non-blocking: the coordinator's reply to `reply_to`, if it has
-    /// arrived.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] on transport failure.
-    fn try_recv(&mut self, reply_to: u64) -> Result<Option<CoordMsg>, SpecError>;
-
-    /// Whether the coordinator has raised the standing "drained" signal.
-    fn done(&self) -> bool;
-}
-
 fn write_atomic(path: &Path, text: &str) -> Result<(), SpecError> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, text)
@@ -364,8 +318,8 @@ fn write_atomic(path: &Path, text: &str) -> Result<(), SpecError> {
         .map_err(|e| SpecError::new(format!("cannot finalize {}: {e}", path.display())))
 }
 
-/// [`CoordTransport`] over the shared-filesystem message directories in
-/// `<campaign-dir>/sched/`.
+/// The coordinator's side of the scheduling wire protocol, over the
+/// shared-filesystem message directories in `<campaign-dir>/sched/`.
 pub struct FsCoordTransport {
     inbox: PathBuf,
     outbox: PathBuf,
@@ -399,10 +353,13 @@ impl FsCoordTransport {
             done,
         })
     }
-}
 
-impl CoordTransport for FsCoordTransport {
-    fn poll(&mut self) -> Result<Vec<WorkerMsg>, SpecError> {
+    /// Drains every queued worker message, ordered by (worker, seq).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] on a malformed message or I/O failure.
+    pub fn poll(&mut self) -> Result<Vec<WorkerMsg>, SpecError> {
         let entries = std::fs::read_dir(&self.inbox)
             .map_err(|e| SpecError::new(format!("cannot read {}: {e}", self.inbox.display())))?;
         let mut msgs = Vec::new();
@@ -436,17 +393,30 @@ impl CoordTransport for FsCoordTransport {
         Ok(msgs)
     }
 
-    fn reply(&mut self, worker: &str, msg: &CoordMsg) -> Result<(), SpecError> {
+    /// Delivers `msg` to `worker` (replacing any unread previous reply —
+    /// a worker has at most one request outstanding).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] on I/O failure.
+    pub fn reply(&mut self, worker: &str, msg: &CoordMsg) -> Result<(), SpecError> {
         let text = serde_json::to_string(msg).expect("reply serialization cannot fail");
         write_atomic(&self.outbox.join(format!("{worker}.json")), &text)
     }
 
-    fn announce_done(&mut self) -> Result<(), SpecError> {
+    /// Raises the standing "drained" signal every current and future worker
+    /// observes, even ones the coordinator never heard from.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] on I/O failure.
+    pub fn announce_done(&mut self) -> Result<(), SpecError> {
         write_atomic(&self.done, "{\"drained\":true}\n")
     }
 }
 
-/// [`WorkerTransport`] over the same `sched/` exchange.
+/// A worker's side of the scheduling wire protocol, over the same `sched/`
+/// exchange.
 pub struct FsWorkerTransport {
     worker: String,
     inbox: PathBuf,
@@ -498,10 +468,13 @@ impl FsWorkerTransport {
             done: sched.join(DONE_FILE),
         })
     }
-}
 
-impl WorkerTransport for FsWorkerTransport {
-    fn send(&mut self, msg: &WorkerMsg) -> Result<(), SpecError> {
+    /// Sends one message to the coordinator.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] on I/O failure.
+    pub fn send(&mut self, msg: &WorkerMsg) -> Result<(), SpecError> {
         let text = serde_json::to_string(msg).expect("message serialization cannot fail");
         let path = self
             .inbox
@@ -509,7 +482,13 @@ impl WorkerTransport for FsWorkerTransport {
         write_atomic(&path, &text)
     }
 
-    fn try_recv(&mut self, reply_to: u64) -> Result<Option<CoordMsg>, SpecError> {
+    /// Non-blocking: the coordinator's reply to `reply_to`, if it has
+    /// arrived.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] on I/O failure.
+    pub fn try_recv(&mut self, reply_to: u64) -> Result<Option<CoordMsg>, SpecError> {
         let text = match std::fs::read_to_string(&self.outbox_file) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -527,7 +506,8 @@ impl WorkerTransport for FsWorkerTransport {
         }
     }
 
-    fn done(&self) -> bool {
+    /// Whether the coordinator has raised the standing "drained" signal.
+    pub fn done(&self) -> bool {
         self.done.exists()
     }
 }
@@ -599,8 +579,8 @@ pub fn worker_dirs(root: &Path) -> Result<Vec<PathBuf>, SpecError> {
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] on an invalid or mismatching spec, a shard or
-/// worker directory given as `root`, a corrupt log, or any I/O failure.
+/// Returns a [`SpecError`] on an invalid or mismatching spec, a worker
+/// directory given as `root`, a corrupt log, or any I/O failure.
 pub fn serve_sched(
     executor: &Executor,
     root: impl Into<PathBuf>,
@@ -632,9 +612,9 @@ pub fn serve_sched(
             )));
         }
     }
-    if manifest.shard.is_some() || manifest.worker.is_some() {
+    if manifest.worker.is_some() {
         return Err(SpecError::new(
-            "serve-sched needs a whole-campaign directory, not a shard or worker directory",
+            "serve-sched needs a whole-campaign directory, not a worker directory",
         ));
     }
     let spec = manifest.spec.clone();
@@ -872,40 +852,19 @@ pub fn work(
     }
     let coord = CampaignDir::open(&root)?;
     let manifest = coord.manifest()?;
-    if manifest.shard.is_some() || manifest.worker.is_some() {
+    if manifest.worker.is_some() {
         return Err(SpecError::new(
-            "work needs the coordinator's whole-campaign directory, not a shard \
-             or worker directory",
+            "work needs the coordinator's whole-campaign directory, not a worker directory",
         ));
     }
     let spec = manifest.spec.clone();
     let runs = grid::expand(&spec)?;
 
     let wroot = root.join(WORKERS_DIR).join(&opts.worker);
-    let wdir = if wroot.join(MANIFEST_FILE).exists() {
-        let wdir = CampaignDir::open(&wroot)?;
-        let wmanifest = wdir.manifest()?;
-        if wmanifest.fingerprint != manifest.fingerprint {
-            return Err(SpecError::new(format!(
-                "worker directory {} belongs to fingerprint {}, but the coordinator \
-                 serves {}; refusing to mix campaigns",
-                wroot.display(),
-                wmanifest.fingerprint,
-                manifest.fingerprint
-            )));
-        }
-        wdir
-    } else {
-        CampaignDir::create_worker(&wroot, &spec, runs.len(), &opts.worker)?
-    };
-    let index = wdir.index_log(&runs)?;
-    if index.truncated_tail {
-        wdir.truncate_runs_to(index.valid_bytes)?;
-    }
+    let (wdir, index) = open_worker_dir(&wroot, &spec, &runs, &opts.worker)?;
     let mut stored: Vec<bool> = index.entries.iter().map(|e| e.is_some()).collect();
 
     let mut transport = FsWorkerTransport::new(&root, &opts.worker)?;
-    let telemetry = executor.telemetry();
     let mut seq = 0u64;
     let mut executed = 0usize;
     let mut leases = 0u64;
@@ -956,6 +915,16 @@ pub fn work(
                     )));
                 }
                 leases += 1;
+                let mut send = |kind: &str, index: Option<usize>| {
+                    seq += 1;
+                    transport.send(&WorkerMsg {
+                        worker: opts.worker.clone(),
+                        seq,
+                        kind: kind.to_string(),
+                        lease_id: lease.id,
+                        index,
+                    })
+                };
                 // Indices a previous incarnation already persisted are
                 // acknowledged, not re-executed — replay stays idempotent.
                 let mut pending: Vec<RunSpec> = Vec::new();
@@ -969,88 +938,28 @@ pub fn work(
                         )));
                     }
                     if stored[i] {
-                        seq += 1;
-                        transport.send(&WorkerMsg {
-                            worker: opts.worker.clone(),
-                            seq,
-                            kind: MSG_PROGRESS.to_string(),
-                            lease_id: lease.id,
-                            index: Some(i),
-                        })?;
+                        send(MSG_PROGRESS, Some(i))?;
                     } else {
                         pending.push(runs[i].clone());
                     }
                 }
-                let mut write_error: Option<SpecError> = None;
-                let mut injected_abort = false;
-                let done = executor.try_run_jobs_foreach(
-                    &pending,
-                    |run| {
-                        let rec = telemetry.recorder();
-                        let _span = rec.span_indexed("run", run.index as u64);
-                        execute_run(&spec.sim, run)
-                    },
-                    |_, result| {
-                        let run_index = result.spec.index;
-                        if let Err(e) = wdir.append_result(&mut writer, &result) {
-                            write_error = Some(e);
-                            return false;
-                        }
-                        stored[run_index] = true;
-                        executed += 1;
-                        seq += 1;
-                        if let Err(e) = transport.send(&WorkerMsg {
-                            worker: opts.worker.clone(),
-                            seq,
-                            kind: MSG_PROGRESS.to_string(),
-                            lease_id: lease.id,
-                            index: Some(run_index),
-                        }) {
-                            write_error = Some(e);
-                            return false;
-                        }
-                        if opts.fail_after.is_some_and(|limit| executed >= limit) {
-                            injected_abort = true;
-                            return false;
-                        }
-                        true
-                    },
-                );
-                match (done, write_error, injected_abort) {
-                    (Err(panic), _, _) => {
-                        return Err(SpecError::new(format!(
-                            "run {} panicked mid-lease: {}; completed runs are \
-                             persisted in {} — restart the worker to continue",
-                            pending[panic.job_index].index,
-                            panic.message,
-                            wroot.display()
-                        )))
-                    }
-                    (_, Some(e), _) => return Err(e),
-                    (Ok(None), None, true) => {
-                        // The injected crash: persisted work stays, the lease
-                        // is never completed — the coordinator must expire
-                        // and re-lease the rest.
+                stream_pending(executor, &spec, &pending, &wdir, &mut writer, |i| {
+                    stored[i] = true;
+                    executed += 1;
+                    send(MSG_PROGRESS, Some(i))?;
+                    if opts.fail_after.is_some_and(|limit| executed >= limit) {
+                        // The injected crash: persisted work stays, the
+                        // lease is never completed — the coordinator must
+                        // expire and re-lease the rest.
                         return Err(SpecError::new(format!(
                             "worker {} aborted after {executed} run(s) (--fail-after); \
                              lease {} left incomplete",
                             opts.worker, lease.id
                         )));
                     }
-                    (Ok(Some(())), None, _) => {
-                        seq += 1;
-                        transport.send(&WorkerMsg {
-                            worker: opts.worker.clone(),
-                            seq,
-                            kind: MSG_COMPLETE.to_string(),
-                            lease_id: lease.id,
-                            index: None,
-                        })?;
-                    }
-                    (Ok(None), None, false) => {
-                        unreachable!("the pool aborts only on a write error or injected abort")
-                    }
-                }
+                    Ok(())
+                })?;
+                send(MSG_COMPLETE, None)?;
             }
             other => {
                 return Err(SpecError::new(format!(

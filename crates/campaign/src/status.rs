@@ -1,13 +1,15 @@
 //! Read-only campaign progress inspection: `campaign status <dir>...`.
 //!
-//! [`status`] sizes up one or many campaign (or shard) directories without
+//! [`status`] sizes up one or many campaign (or worker) directories without
 //! modifying a single byte: per directory it reports the manifest identity,
-//! stored/missing run counts with the exact gap list, torn-tail state, log
-//! and spilled-sample sizes, and whether a report has landed. Over several
-//! directories sharing one fingerprint it additionally computes the
-//! **union** view — which run indices no directory has stored — which is
-//! exactly the gap list a [`crate::merge::merge`] of those directories
-//! would refuse on.
+//! stored run counts (plus the exact gap list of a whole campaign),
+//! torn-tail state, log and spilled-sample sizes, and whether a report has
+//! landed. Over several directories sharing one fingerprint it additionally
+//! computes the **union** view — which run indices no directory has stored
+//! — which is exactly the gap list a [`crate::merge::merge`] of those
+//! directories would refuse on. That union is where the gaps of shard and
+//! scheduler worker directories show up: a worker directory holds whatever
+//! its plan or leases granted, so on its own it is never "missing" a run.
 //!
 //! Because the run-log scan tolerates a torn final record (the shape of an
 //! in-flight append), `status` is safe to point at a directory whose
@@ -17,7 +19,7 @@ use crate::grid;
 use crate::lease::{sched_status, SchedStatus};
 use crate::spec::SpecError;
 use crate::spill::{SampleStore, SpillStats};
-use crate::stream::{CampaignDir, ShardSlice};
+use crate::stream::CampaignDir;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -33,22 +35,20 @@ pub struct DirStatus {
     pub fingerprint: String,
     /// Size of the full expanded run matrix.
     pub total_runs: usize,
-    /// The shard slice this directory executes, if it is a shard.
-    pub shard: Option<ShardSlice>,
-    /// The scheduler worker id, if this is a worker directory
-    /// ([`crate::sched::work`]).
+    /// The worker id, if this is a worker directory (a scheduler worker's,
+    /// [`crate::sched::work`], or a shard's, [`crate::stream::run_shard`]).
     pub worker: Option<String>,
     /// The scheduler lease table replayed from `sched/leases.jsonl`, when
     /// this directory has been (or is being) served by
     /// [`crate::sched::serve_sched`].
     pub sched: Option<SchedStatus>,
-    /// Run indices this directory is responsible for (`total_runs` for a
-    /// whole campaign, the slice size for a shard).
+    /// Run indices this directory is responsible for: `total_runs` for a
+    /// whole campaign, the stored count for a worker directory.
     pub owned_runs: usize,
     /// Whole records stored in `runs.jsonl`.
     pub completed: usize,
     /// Owned run indices with no stored record — what a resume would
-    /// re-execute, in matrix order.
+    /// re-execute, in matrix order (always empty for a worker directory).
     pub missing: Vec<usize>,
     /// Whether the log ends in a torn (crash- or in-flight-truncated)
     /// record.
@@ -92,14 +92,13 @@ impl StatusReport {
                 "{}: campaign `{}` (fingerprint {})",
                 dir.path, dir.name, dir.fingerprint
             );
-            let shard = match (&dir.shard, &dir.worker) {
-                (Some(s), _) => format!(" [shard {}/{}]", s.index, s.count),
-                (None, Some(w)) => format!(" [worker {w}]"),
-                (None, None) => String::new(),
+            let worker = match &dir.worker {
+                Some(w) => format!(" [worker {w}]"),
+                None => String::new(),
             };
             let _ = writeln!(
                 out,
-                "  runs: {}/{} stored{shard}, {} missing, log {} ({} bytes){}{}",
+                "  runs: {}/{} stored{worker}, {} missing, log {} ({} bytes){}{}",
                 dir.completed,
                 dir.owned_runs,
                 dir.missing.len(),
@@ -270,28 +269,12 @@ pub fn status(paths: &[PathBuf]) -> Result<StatusReport, SpecError> {
                 }
             }
         }
-        // A scheduler worker directory owns no fixed slice — it holds
-        // whatever its leases granted — so it is never "missing" anything;
-        // the coordinator's union view is where gaps show up.
-        let missing: Vec<usize> = if manifest.worker.is_some() {
-            Vec::new()
-        } else {
-            match manifest.shard {
-                Some(shard) => index
-                    .missing_indices()
-                    .into_iter()
-                    .filter(|&i| shard.owns(i))
-                    .collect(),
-                None => index.missing_indices(),
-            }
-        };
-        let owned_runs = if manifest.worker.is_some() {
-            index.completed()
-        } else {
-            match manifest.shard {
-                Some(shard) => shard.owned_indices(runs.len()).count(),
-                None => runs.len(),
-            }
+        // A worker directory holds whatever its leases or shard plan
+        // granted, so it is never "missing" anything; the union view is
+        // where gaps show up.
+        let (owned_runs, missing) = match manifest.worker {
+            Some(_) => (index.completed(), Vec::new()),
+            None => (runs.len(), index.missing_indices()),
         };
         let runs_bytes = std::fs::metadata(dir.runs_path())
             .map(|m| m.len())
@@ -301,13 +284,11 @@ pub fn status(paths: &[PathBuf]) -> Result<StatusReport, SpecError> {
             name: manifest.name,
             fingerprint: manifest.fingerprint,
             total_runs: runs.len(),
-            shard: manifest.shard,
-            worker: manifest.worker.clone(),
-            sched: if manifest.shard.is_none() && manifest.worker.is_none() {
-                sched_status(path)?
-            } else {
-                None
+            sched: match manifest.worker {
+                Some(_) => None,
+                None => sched_status(path)?,
             },
+            worker: manifest.worker,
             owned_runs,
             completed: index.completed(),
             missing,

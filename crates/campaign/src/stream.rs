@@ -1,19 +1,22 @@
-//! Streaming, resumable, shardable campaign execution.
+//! Streaming, resumable campaign execution.
 //!
 //! A long-running campaign streams every finished run to a **campaign
 //! directory** as it completes, making the campaign crash-durable: kill it
 //! at any point and [`resume`] picks up where the log ends. A campaign can
-//! also be split across machines with [`run_shard`] — each shard executes a
-//! deterministic slice of the run matrix into an ordinary campaign
-//! directory — and reunited by [`crate::merge::merge`].
+//! also be split across machines with [`run_shard`] — each shard executes
+//! a fixed strided slice of the run matrix into a **worker directory**
+//! (the same kind a scheduler worker, [`crate::sched::work`], fills from
+//! its leases) — and reunited by [`crate::merge::merge`]. Re-running a
+//! shard or worker on its directory continues it: the torn tail is healed,
+//! stored indices are skipped and only the rest is executed.
 //!
 //! ```text
 //! <dir>/manifest.json   campaign name, spec fingerprint, run count, spec,
-//!                       and (for shard directories) the shard slice
+//!                       and (for worker directories) the worker id
 //! <dir>/runs.jsonl      one JSONL record per finished run, appended as
 //!                       results complete (index-tagged, any order)
 //! <dir>/report.json     the final aggregated report (written last; absent
-//!                       in shard directories — a shard is not a campaign)
+//!                       in worker directories — merge builds it)
 //! ```
 //!
 //! Workers append each [`RunResult`] the moment it finishes — and nothing
@@ -90,39 +93,21 @@ pub fn spec_fingerprint(spec: &CampaignSpec) -> String {
     format!("{hash:016x}")
 }
 
-/// Which deterministic slice of the run matrix a shard directory owns.
+/// The run indices shard `index` of `count` owns out of `total` runs,
+/// ascending: those congruent to `index` modulo `count` — a strided slice,
+/// so every shard samples the whole grid (meshes, workloads, FIRs) instead
+/// of one machine drawing all the expensive 16×16 runs.
 ///
-/// Shard `index` of `count` owns exactly the run indices congruent to
-/// `index` modulo `count` — a strided slice, so every shard samples the
-/// whole grid (meshes, workloads, FIRs) instead of one machine drawing all
-/// the expensive 16×16 runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardSlice {
-    /// This shard's position, `0 <= index < count`.
-    pub index: usize,
-    /// Total number of shards the campaign was split into.
-    pub count: usize,
-}
-
-impl ShardSlice {
-    /// Whether this slice owns run index `run_index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `count` is zero — an invalid slice ([`run_shard`] and
-    /// [`CampaignDir::manifest`] both reject it before it reaches here).
-    pub fn owns(&self, run_index: usize) -> bool {
-        run_index % self.count == self.index
+/// # Errors
+///
+/// Returns a [`SpecError`] unless `0 <= index < count`.
+pub fn shard_plan(index: usize, count: usize, total: usize) -> Result<Vec<usize>, SpecError> {
+    if index >= count {
+        return Err(SpecError::new(format!(
+            "shard {index}/{count} is not a valid slice (need 0 <= index < count)"
+        )));
     }
-
-    /// The run indices this slice owns, ascending, out of `total` runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `count` is zero, like [`Self::owns`].
-    pub fn owned_indices(&self, total: usize) -> impl Iterator<Item = usize> + '_ {
-        (self.index..total).step_by(self.count)
-    }
+    Ok((index..total).step_by(count).collect())
 }
 
 /// The manifest stored at the root of a campaign directory: enough to
@@ -137,17 +122,14 @@ pub struct Manifest {
     pub name: String,
     /// [`spec_fingerprint`] of the embedded spec.
     pub fingerprint: String,
-    /// Size of the full expanded run matrix (also for shard directories,
-    /// which own only a [`ShardSlice`] of it).
+    /// Size of the full expanded run matrix (also for worker directories,
+    /// which hold only part of it).
     pub total_runs: usize,
-    /// The shard slice this directory executes; `None` for a whole-campaign
-    /// directory.
-    #[serde(default)]
-    pub shard: Option<ShardSlice>,
-    /// The scheduler worker id this directory belongs to
-    /// ([`crate::sched::work`]); `None` for a whole-campaign or shard
-    /// directory. A worker directory owns no fixed slice — it holds
-    /// whatever run indices its leases granted.
+    /// The worker id this directory belongs to — a scheduler worker
+    /// ([`crate::sched::work`]) or a static shard (`shard-I-of-N`,
+    /// [`run_shard`]); `None` for a whole-campaign directory. A worker
+    /// directory holds whatever run indices its leases or shard plan
+    /// granted, and builds no report.
     #[serde(default)]
     pub worker: Option<String>,
     /// The full campaign spec.
@@ -155,15 +137,15 @@ pub struct Manifest {
 }
 
 impl Default for Manifest {
-    /// Deserialization fallback source for the optional `shard` field only —
-    /// a default manifest never validates (empty fingerprint).
+    /// Deserialization fallback source for the optional `schema` and
+    /// `worker` fields only — a default manifest never validates (empty
+    /// fingerprint).
     fn default() -> Self {
         Manifest {
             schema: String::new(),
             name: String::new(),
             fingerprint: String::new(),
             total_runs: 0,
-            shard: None,
             worker: None,
             spec: CampaignSpec::default(),
         }
@@ -216,8 +198,8 @@ impl LogIndex {
     }
 }
 
-/// A campaign directory: the on-disk home of one streaming campaign (or one
-/// shard of it).
+/// A campaign directory: the on-disk home of one streaming campaign (or of
+/// one worker's part of it).
 #[derive(Debug, Clone)]
 pub struct CampaignDir {
     root: PathBuf,
@@ -237,32 +219,14 @@ impl CampaignDir {
         spec: &CampaignSpec,
         total_runs: usize,
     ) -> Result<Self, SpecError> {
-        Self::create_with_shard(root, spec, total_runs, None)
+        Self::create_inner(root, spec, total_runs, None)
     }
 
-    /// [`Self::create`] for a shard directory: the manifest additionally
-    /// records the [`ShardSlice`] this directory executes, which is how
-    /// [`resume`] knows to re-execute only the shard's own missing indices
-    /// (and to skip report building — a shard is not a whole campaign).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] if the spec fails validation, the directory
-    /// already holds a campaign, or the manifest cannot be written.
-    pub fn create_with_shard(
-        root: impl Into<PathBuf>,
-        spec: &CampaignSpec,
-        total_runs: usize,
-        shard: Option<ShardSlice>,
-    ) -> Result<Self, SpecError> {
-        Self::create_inner(root, spec, total_runs, shard, None)
-    }
-
-    /// [`Self::create`] for a scheduler worker directory
-    /// ([`crate::sched::work`]): the manifest records the worker id instead
-    /// of a shard slice. A worker directory owns no fixed slice of the
-    /// matrix — leases decide what it executes — so [`resume`] only heals
-    /// it and never re-executes anything.
+    /// [`Self::create`] for a worker directory ([`crate::sched::work`],
+    /// [`run_shard`]): the manifest records the worker id. Only the worker
+    /// knows what it owns — its leases or shard plan — so [`resume`] only
+    /// heals a worker directory and never re-executes anything; re-running
+    /// the worker continues it.
     ///
     /// # Errors
     ///
@@ -274,14 +238,13 @@ impl CampaignDir {
         total_runs: usize,
         worker: &str,
     ) -> Result<Self, SpecError> {
-        Self::create_inner(root, spec, total_runs, None, Some(worker.to_string()))
+        Self::create_inner(root, spec, total_runs, Some(worker.to_string()))
     }
 
     fn create_inner(
         root: impl Into<PathBuf>,
         spec: &CampaignSpec,
         total_runs: usize,
-        shard: Option<ShardSlice>,
         worker: Option<String>,
     ) -> Result<Self, SpecError> {
         spec.validate()?;
@@ -301,7 +264,6 @@ impl CampaignDir {
             name: spec.name.clone(),
             fingerprint: spec_fingerprint(spec),
             total_runs,
-            shard,
             worker,
             spec: spec.clone(),
         };
@@ -361,13 +323,28 @@ impl CampaignDir {
     /// # Errors
     ///
     /// Returns a [`SpecError`] on a missing, malformed or self-inconsistent
-    /// manifest.
+    /// manifest, and on a shard directory written before shards became
+    /// worker directories (a non-null `shard` field), which would otherwise
+    /// load as a whole campaign.
     pub fn manifest(&self) -> Result<Manifest, SpecError> {
         let path = self.root.join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&path)
             .map_err(|e| SpecError::new(format!("cannot read {}: {e}", path.display())))?;
-        let manifest: Manifest = serde_json::from_str(&text)
-            .map_err(|e| SpecError::new(format!("malformed manifest {}: {e}", path.display())))?;
+        let malformed = |e: serde_json::Error| {
+            SpecError::new(format!("malformed manifest {}: {e}", path.display()))
+        };
+        let value = serde_json::parse_value(&text).map_err(malformed)?;
+        if let Ok(shard) = value.field("shard") {
+            if *shard != serde::Value::Null {
+                return Err(SpecError::new(format!(
+                    "{} records the legacy shard slice {}; shard directories are now worker \
+                     directories — re-run `campaign shard` into a fresh directory",
+                    path.display(),
+                    serde_json::to_string(shard).expect("value serialization cannot fail")
+                )));
+            }
+        }
+        let manifest: Manifest = serde_json::from_value(&value).map_err(malformed)?;
         // Pre-tag manifests carry an empty schema and load fine; anything
         // else must match exactly — a future v2 is not silently readable.
         if !manifest.schema.is_empty() && manifest.schema != MANIFEST_SCHEMA {
@@ -384,14 +361,6 @@ impl CampaignDir {
                  the campaign directory is corrupt",
                 manifest.fingerprint
             )));
-        }
-        if let Some(shard) = manifest.shard {
-            if shard.count == 0 || shard.index >= shard.count {
-                return Err(SpecError::new(format!(
-                    "manifest records shard {}/{}, which is not a valid slice",
-                    shard.index, shard.count
-                )));
-            }
         }
         Ok(manifest)
     }
@@ -446,27 +415,39 @@ impl CampaignDir {
     ///
     /// Returns a [`SpecError`] describing the first corrupt record.
     pub fn index_log(&self, runs: &[RunSpec]) -> Result<LogIndex, SpecError> {
+        self.index_log_pinned(runs).map(|(index, _)| index)
+    }
+
+    /// [`Self::index_log`], also returning the open handle the index was
+    /// read from (`None` when no log exists). Reads through that handle see
+    /// exactly the indexed bytes even if the log is atomically replaced
+    /// meanwhile — as a scheduler worker compacting its directory on exit
+    /// does while the coordinator assembles from it.
+    pub(crate) fn index_log_pinned(
+        &self,
+        runs: &[RunSpec],
+    ) -> Result<(LogIndex, Option<File>), SpecError> {
         let path = self.runs_path();
-        let file = match File::open(&path) {
+        let read_error =
+            |e: std::io::Error| SpecError::new(format!("cannot read {}: {e}", path.display()));
+        let mut reader = match File::open(&path) {
             Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(LogIndex {
+                let index = LogIndex {
                     entries: (0..runs.len()).map(|_| None).collect(),
                     truncated_tail: false,
                     valid_bytes: 0,
                     duplicate_records: 0,
-                });
+                };
+                return Ok((index, None));
             }
-            Err(e) => {
-                return Err(SpecError::new(format!(
-                    "cannot read {}: {e}",
-                    path.display()
-                )))
-            }
+            Err(e) => return Err(read_error(e)),
         };
         let mut entries: Vec<Option<RecordEntry>> = (0..runs.len()).map(|_| None).collect();
-        let mut duplicate_records = 0usize;
-        let scan = scan_jsonl(file, &path, "record", |line_no, offset, line| {
+        // (line, run index, location) of every record repeating an index.
+        let mut repeats: Vec<(usize, usize, RecordEntry)> = Vec::new();
+        let scan_file = reader.try_clone().map_err(read_error)?;
+        let scan = scan_jsonl(scan_file, &path, "record", |line_no, offset, line| {
             let record: RunResult = match serde_json::from_str(line) {
                 Ok(record) => record,
                 Err(e) => return Ok(Some(e.to_string())),
@@ -493,29 +474,33 @@ impl CampaignDir {
                 len: line.len(),
             };
             match entries[index] {
-                // First record for this index wins; a repeat must be
-                // byte-identical (runs are deterministic) or the log mixes
-                // results from different executions.
-                Some(existing) => {
-                    if self.read_record_line(&existing)? != line {
-                        return Err(SpecError::new(format!(
-                            "run index {index} appears twice in {} with conflicting \
-                             payloads (line {line_no})",
-                            path.display()
-                        )));
-                    }
-                    duplicate_records += 1;
-                }
+                Some(_) => repeats.push((line_no, index, entry)),
                 None => entries[index] = Some(entry),
             }
             Ok(None)
         })?;
-        Ok(LogIndex {
+        // First record for an index wins; a repeat must be byte-identical
+        // (runs are deterministic) or the log mixes results from different
+        // executions.
+        for &(line_no, index, entry) in &repeats {
+            let first = entries[index].expect("a repeat follows the first record of its index");
+            if read_line_at(&mut reader, &first, &path)?
+                != read_line_at(&mut reader, &entry, &path)?
+            {
+                return Err(SpecError::new(format!(
+                    "run index {index} appears twice in {} with conflicting payloads \
+                     (line {line_no})",
+                    path.display()
+                )));
+            }
+        }
+        let index = LogIndex {
             entries,
             truncated_tail: scan.truncated_tail,
             valid_bytes: scan.valid_bytes,
-            duplicate_records,
-        })
+            duplicate_records: repeats.len(),
+        };
+        Ok((index, Some(reader)))
     }
 
     /// Opens `runs.jsonl` for random-access reads ([`Self::read_record_line_at`]).
@@ -788,7 +773,7 @@ pub fn run_streaming_expanded_with(
     let dir = CampaignDir::create(root, spec, runs.len())?;
     let mut writer = dir.open_runs_for_append()?;
     rec.time("campaign.execute", || {
-        stream_pending(executor, spec, runs, &dir, &mut writer)
+        stream_pending(executor, spec, runs, &dir, &mut writer, |_| Ok(()))
     })?;
     drop(writer);
     let index = dir.index_log(runs)?;
@@ -797,72 +782,102 @@ pub fn run_streaming_expanded_with(
     })
 }
 
-/// Executes a shard of `spec`: the strided slice `shard` of the run matrix,
-/// streamed into an ordinary campaign directory at `root` whose manifest
-/// records the slice. No report is built — a shard is not a whole campaign;
-/// [`crate::merge::merge`] reunites the shards and builds it.
+/// Executes shard `index` of `count` of `spec` — the strided slice
+/// [`shard_plan`] names — into the worker directory `shard-I-of-N` at
+/// `root`. No report is built; [`crate::merge::merge`] reunites the shards
+/// and builds it.
 ///
-/// Returns the number of runs the shard owns (all of them executed).
+/// A shard is a worker whose plan is fixed up front, so it takes the same
+/// path as [`crate::sched::work`] does for a lease: open or create the
+/// worker directory, heal a torn tail, skip the indices already stored and
+/// stream the rest. Running the same shard again on `root` therefore
+/// continues a crashed shard, and is a no-op on a complete one.
+///
+/// Returns the number of runs executed by this call.
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] on an invalid spec or slice, an
-/// already-initialized directory, or any I/O failure.
+/// Returns a [`SpecError`] on an invalid spec or slice, a directory that
+/// holds a different campaign or worker, or any I/O failure.
 pub fn run_shard(
     executor: &Executor,
     spec: &CampaignSpec,
-    shard: ShardSlice,
+    index: usize,
+    count: usize,
     root: impl Into<PathBuf>,
 ) -> Result<usize, SpecError> {
     let runs = grid::expand(spec)?;
-    run_shard_expanded(executor, spec, &runs, shard, root)
+    let plan = shard_plan(index, count, runs.len())?;
+    let worker = format!("shard-{index}-of-{count}");
+    let (dir, stored) = open_worker_dir(&root.into(), spec, &runs, &worker)?;
+    let pending: Vec<RunSpec> = plan
+        .into_iter()
+        .filter(|&i| stored.entries[i].is_none())
+        .map(|i| runs[i].clone())
+        .collect();
+    let mut writer = dir.open_runs_for_append()?;
+    stream_pending(executor, spec, &pending, &dir, &mut writer, |_| Ok(()))?;
+    Ok(pending.len())
 }
 
-/// [`run_shard`] over an already expanded run matrix (callers that expanded
-/// the grid for their own bookkeeping — e.g. the CLI's progress line —
-/// avoid paying for expansion twice).
+/// Opens the worker directory `worker` of `spec` at `root` — creating it
+/// when `root` holds no campaign yet — heals a torn tail so the next append
+/// starts a fresh line, and indexes the records it already stores.
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] on an invalid spec or slice, an
-/// already-initialized directory, or any I/O failure.
-pub fn run_shard_expanded(
-    executor: &Executor,
+/// Returns a [`SpecError`] if `root` holds a different campaign, a whole
+/// campaign or another worker, or on a corrupt log or I/O failure.
+pub(crate) fn open_worker_dir(
+    root: &Path,
     spec: &CampaignSpec,
     runs: &[RunSpec],
-    shard: ShardSlice,
-    root: impl Into<PathBuf>,
-) -> Result<usize, SpecError> {
-    if shard.count == 0 || shard.index >= shard.count {
-        return Err(SpecError::new(format!(
-            "shard {}/{} is not a valid slice (need 0 <= index < count)",
-            shard.index, shard.count
-        )));
+    worker: &str,
+) -> Result<(CampaignDir, LogIndex), SpecError> {
+    let dir = if root.join(MANIFEST_FILE).exists() {
+        let dir = CampaignDir::open(root)?;
+        let manifest = dir.manifest()?;
+        let fingerprint = spec_fingerprint(spec);
+        if manifest.fingerprint != fingerprint || manifest.worker.as_deref() != Some(worker) {
+            return Err(SpecError::new(format!(
+                "{} holds {} of fingerprint {}, not worker `{worker}` of fingerprint \
+                 {fingerprint}; refusing to mix campaigns",
+                root.display(),
+                match &manifest.worker {
+                    Some(other) => format!("worker `{other}`"),
+                    None => "a whole campaign".to_string(),
+                },
+                manifest.fingerprint
+            )));
+        }
+        dir
+    } else {
+        CampaignDir::create_worker(root, spec, runs.len(), worker)?
+    };
+    let index = dir.index_log(runs)?;
+    if index.truncated_tail {
+        dir.truncate_runs_to(index.valid_bytes)?;
     }
-    let owned: Vec<RunSpec> = shard
-        .owned_indices(runs.len())
-        .map(|i| runs[i].clone())
-        .collect();
-    let dir = CampaignDir::create_with_shard(root, spec, runs.len(), Some(shard))?;
-    let mut writer = dir.open_runs_for_append()?;
-    stream_pending(executor, spec, &owned, &dir, &mut writer)?;
-    Ok(owned.len())
+    Ok((dir, index))
 }
 
 /// Executes `pending` runs, appending each result the moment it completes
-/// and dropping it — the pool retains no result set. A failed append aborts
-/// the pool (in-flight runs finish and are discarded) so a full disk cannot
-/// burn the rest of a long campaign on unpersistable work.
+/// and dropping it — the pool retains no result set. After each append,
+/// `persisted` is called with the stored run index (a worker's lease
+/// heartbeat); an error from it, or a failed append, aborts the pool
+/// (in-flight runs finish and are discarded) and is returned — so a full
+/// disk cannot burn the rest of a long campaign on unpersistable work.
 pub(crate) fn stream_pending(
     executor: &Executor,
     spec: &CampaignSpec,
     pending: &[RunSpec],
     dir: &CampaignDir,
     writer: &mut File,
+    mut persisted: impl FnMut(usize) -> Result<(), SpecError>,
 ) -> Result<(), SpecError> {
     let telemetry = executor.telemetry();
     let obs_rec = telemetry.recorder();
-    let mut write_error: Option<SpecError> = None;
+    let mut abort: Option<SpecError> = None;
     let done = executor.try_run_jobs_foreach(
         pending,
         |run| {
@@ -870,39 +885,45 @@ pub(crate) fn stream_pending(
             let _span = rec.span_indexed("run", run.index as u64);
             execute_run(&spec.sim, run)
         },
-        |_, result| match obs_rec.time("log.append", || dir.append_result(writer, &result)) {
-            Ok(()) => true,
-            Err(e) => {
-                write_error = Some(e);
-                false
+        |_, result| {
+            let stored = obs_rec
+                .time("log.append", || dir.append_result(writer, &result))
+                .and_then(|()| persisted(result.spec.index));
+            match stored {
+                Ok(()) => true,
+                Err(e) => {
+                    abort = Some(e);
+                    false
+                }
             }
         },
     );
-    match (done, write_error) {
+    match (done, abort) {
         (Err(panic), _) => Err(SpecError::new(format!(
             "run {} panicked mid-campaign: {}; every run completed before the \
-             panic is already persisted in {} — fix the cause and `campaign \
-             resume` the directory to execute only the missing runs",
+             panic is already persisted in {} — fix the cause and resume the \
+             campaign (or re-run the shard or worker) to execute only the \
+             missing runs",
             pending[panic.job_index].index,
             panic.message,
             dir.root().display()
         ))),
         (Ok(Some(())), None) => Ok(()),
         (_, Some(e)) => Err(e),
-        (Ok(None), None) => unreachable!("pool aborts only after a write error"),
+        (Ok(None), None) => unreachable!("pool aborts only after an error"),
     }
 }
 
-/// Resumes the campaign (or shard) stored at `root`: verifies the manifest
-/// fingerprint (against `expected_spec` too, when given), re-executes only
-/// the owned run indices with no stored JSONL record, and appends them.
+/// Resumes the campaign stored at `root`: verifies the manifest fingerprint
+/// (against `expected_spec` too, when given), heals a torn tail record,
+/// re-executes only the run indices with no stored JSONL record, and
+/// rebuilds the report by replaying the completed log through the shared
+/// [`ReportAccumulator`] — byte-identical to an uninterrupted run.
 ///
-/// For a whole-campaign directory the report is then rebuilt by replaying
-/// the completed log through the shared [`ReportAccumulator`] —
-/// byte-identical to an uninterrupted run — and returned. For a shard
-/// directory (the manifest records a [`ShardSlice`]) no report exists to
-/// build, so `Ok(None)` is returned once the shard's runs are all stored;
-/// merge the shards to obtain the report.
+/// A worker directory (a shard's or a scheduler worker's) is only healed
+/// and `Ok(None)` is returned: only the worker knows what it owns, so
+/// re-running the same `campaign shard` or `campaign work` command is what
+/// continues it, and merge builds the report.
 ///
 /// # Errors
 ///
@@ -960,38 +981,20 @@ pub fn resume_with(
         dir.truncate_runs_to(index.valid_bytes)?;
     }
     if manifest.worker.is_some() {
-        // A scheduler worker directory owns no fixed slice of the matrix —
-        // leases decide what it executes — so a resume heals the torn tail
-        // (done above) and re-executes nothing; restart `campaign work` to
-        // continue. No report exists to build either.
         return Ok(None);
     }
-    let missing: Vec<usize> = match manifest.shard {
-        Some(shard) => index
-            .missing_indices()
-            .into_iter()
-            .filter(|&i| shard.owns(i))
-            .collect(),
-        None => index.missing_indices(),
-    };
-    let appended = !missing.is_empty();
-    if appended {
-        let pending: Vec<RunSpec> = missing.iter().map(|&i| runs[i].clone()).collect();
-        let mut writer = dir.open_runs_for_append()?;
-        stream_pending(executor, &spec, &pending, &dir, &mut writer)?;
+    let missing = index.missing_indices();
+    if missing.is_empty() {
+        // A clean resume of a completed campaign replays the index it
+        // already has instead of parsing the whole log a second time.
+        // (Healing the torn tail never invalidates the index — every
+        // indexed record ends at or before `valid_bytes`.)
+        return report_from_log(executor, &dir, &spec, &runs, &index, spill).map(Some);
     }
-    if manifest.shard.is_some() {
-        return Ok(None);
-    }
-    // Re-index only if records were appended; a clean resume of a completed
-    // campaign replays the index it already has instead of parsing the
-    // whole log a second time. (Healing the torn tail never invalidates the
-    // index — every indexed record ends at or before `valid_bytes`.)
-    let index = if appended {
-        dir.index_log(&runs)?
-    } else {
-        index
-    };
+    let pending: Vec<RunSpec> = missing.iter().map(|&i| runs[i].clone()).collect();
+    let mut writer = dir.open_runs_for_append()?;
+    stream_pending(executor, &spec, &pending, &dir, &mut writer, |_| Ok(()))?;
+    let index = dir.index_log(&runs)?;
     report_from_log(executor, &dir, &spec, &runs, &index, spill).map(Some)
 }
 
@@ -1089,10 +1092,9 @@ mod tests {
             for count in 1usize..=5 {
                 let mut seen = vec![false; total];
                 for index in 0..count {
-                    let slice = ShardSlice { index, count };
-                    for i in slice.owned_indices(total) {
+                    for i in shard_plan(index, count, total).unwrap() {
                         assert!(!seen[i], "index {i} owned by two slices");
-                        assert!(slice.owns(i));
+                        assert_eq!(i % count, index);
                         seen[i] = true;
                     }
                 }
@@ -1136,23 +1138,25 @@ mod tests {
     fn shard_run_streams_only_owned_indices_and_no_report() {
         let root = temp_root("shard");
         let spec = tiny_spec();
-        let total = grid::expand(&spec).unwrap().len();
-        let shard = ShardSlice { index: 1, count: 2 };
-        let executed = run_shard(&Executor::new(2), &spec, shard, &root).unwrap();
-        assert_eq!(executed, shard.owned_indices(total).count());
+        let runs = grid::expand(&spec).unwrap();
+        let plan = shard_plan(1, 2, runs.len()).unwrap();
+        let executed = run_shard(&Executor::new(2), &spec, 1, 2, &root).unwrap();
+        assert_eq!(executed, plan.len());
         assert!(!root.join(REPORT_FILE).exists(), "shards build no report");
 
         let dir = CampaignDir::open(&root).unwrap();
         let manifest = dir.manifest().unwrap();
-        assert_eq!(manifest.shard, Some(shard));
-        assert_eq!(manifest.total_runs, total);
-        let index = dir.index_log(&grid::expand(&spec).unwrap()).unwrap();
+        assert_eq!(manifest.worker.as_deref(), Some("shard-1-of-2"));
+        assert_eq!(manifest.total_runs, runs.len());
+        let index = dir.index_log(&runs).unwrap();
         assert_eq!(index.completed(), executed);
         for (i, entry) in index.entries.iter().enumerate() {
-            assert_eq!(entry.is_some(), shard.owns(i));
+            assert_eq!(entry.is_some(), plan.contains(&i));
         }
-        // A complete shard resumes to Ok(None) with nothing re-executed.
+        // Re-running a complete shard executes nothing; resume only heals
+        // a worker directory and builds no report.
         let log_before = std::fs::read_to_string(dir.runs_path()).unwrap();
+        assert_eq!(run_shard(&Executor::new(2), &spec, 1, 2, &root).unwrap(), 0);
         assert!(resume(&Executor::new(2), &root, Some(&spec))
             .unwrap()
             .is_none());
@@ -1160,22 +1164,62 @@ mod tests {
             std::fs::read_to_string(dir.runs_path()).unwrap(),
             log_before
         );
+
+        // The directory belongs to shard 1 of 2 of this spec: another
+        // slice, another spec or a whole campaign is refused.
+        let err = run_shard(&Executor::new(1), &spec, 0, 2, &root).unwrap_err();
+        assert!(err.to_string().contains("refusing to mix"), "{err}");
+        let mut other = spec.clone();
+        other.grid.seeds = vec![12];
+        let err = run_shard(&Executor::new(1), &other, 1, 2, &root).unwrap_err();
+        assert!(err.to_string().contains("refusing to mix"), "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
+
+        run_streaming(&Executor::new(1), &spec, &root).unwrap();
+        let err = run_shard(&Executor::new(1), &spec, 1, 2, &root).unwrap_err();
+        assert!(err.to_string().contains("a whole campaign"), "{err}");
         std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn invalid_shard_slices_are_refused() {
         let spec = tiny_spec();
+        let root = temp_root("badshard");
         for (index, count) in [(0, 0), (2, 2), (5, 3)] {
-            let err = run_shard(
-                &Executor::new(1),
-                &spec,
-                ShardSlice { index, count },
-                temp_root("badshard"),
-            )
-            .unwrap_err();
+            let err = run_shard(&Executor::new(1), &spec, index, count, &root).unwrap_err();
             assert!(err.to_string().contains("not a valid slice"), "{err}");
+            assert!(!root.exists(), "an invalid slice creates no directory");
         }
+    }
+
+    /// A shard directory written before shards became worker directories
+    /// records its slice in a `shard` field the manifest no longer has;
+    /// loading it as a whole campaign would be wrong, so it is refused.
+    #[test]
+    fn legacy_shard_manifests_are_refused() {
+        let root = temp_root("legacy");
+        let spec = tiny_spec();
+        let total = grid::expand(&spec).unwrap().len();
+        let dir = CampaignDir::create(&root, &spec, total).unwrap();
+        let path = root.join(MANIFEST_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let with_shard = |shard: &str| {
+            text.replacen(
+                "\"worker\"",
+                &format!("\"shard\": {shard},\n  \"worker\""),
+                1,
+            )
+        };
+
+        std::fs::write(&path, with_shard("null")).unwrap();
+        assert_eq!(dir.manifest().unwrap().worker, None);
+
+        std::fs::write(&path, with_shard(r#"{"index": 0, "count": 2}"#)).unwrap();
+        let err = dir.manifest().unwrap_err();
+        assert!(err.to_string().contains("legacy shard slice"), "{err}");
+        let err = resume(&Executor::new(1), &root, None).unwrap_err();
+        assert!(err.to_string().contains("legacy shard slice"), "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -1227,6 +1271,39 @@ mod tests {
         std::fs::write(dir.runs_path(), format!("{full}{tampered}\n")).unwrap();
         let err = dir.index_log(&runs).unwrap_err();
         assert!(err.to_string().contains("conflicting"), "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A merge reads its inputs through the handles their indexes were
+    /// read from, so a log replaced meanwhile — a scheduler worker running
+    /// `compact --strip-samples` on exit while the coordinator assembles —
+    /// still reads back the indexed bytes.
+    #[test]
+    fn pinned_index_reads_survive_an_atomic_log_replacement() {
+        let root = temp_root("pinned");
+        let spec = tiny_spec();
+        run_streaming(&Executor::new(1), &spec, &root).unwrap();
+        let dir = CampaignDir::open(&root).unwrap();
+        let runs = grid::expand(&spec).unwrap();
+        let original = std::fs::read_to_string(dir.runs_path()).unwrap();
+        let (index, reader) = dir.index_log_pinned(&runs).unwrap();
+        let mut reader = reader.expect("the log exists");
+
+        let tmp = root.join("replacement.jsonl");
+        std::fs::write(&tmp, "{}\n").unwrap();
+        std::fs::rename(&tmp, dir.runs_path()).unwrap();
+
+        let reread: Vec<String> = index
+            .entries
+            .iter()
+            .flatten()
+            .map(|entry| dir.read_record_line_at(&mut reader, entry).unwrap())
+            .collect();
+        let mut expected: Vec<&str> = original.lines().collect();
+        let mut got: Vec<&str> = reread.iter().map(String::as_str).collect();
+        expected.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, expected);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

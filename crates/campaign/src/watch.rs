@@ -111,8 +111,8 @@ impl WatchSnapshot {
             "{}: campaign `{}`{}",
             self.dir.path,
             self.dir.name,
-            match self.dir.shard {
-                Some(s) => format!(" [shard {}/{}]", s.index, s.count),
+            match &self.dir.worker {
+                Some(w) => format!(" [worker {w}]"),
                 None => String::new(),
             }
         );

@@ -1,12 +1,13 @@
 //! Integration tests of cross-machine campaign sharding: shard → merge
-//! byte-identity against a single-machine run, and every merge failure
-//! mode — mismatched fingerprints, gaps, conflicting duplicates, identical
-//! duplicates, and torn tail records.
+//! byte-identity against a single-machine run, every merge failure mode —
+//! mismatched fingerprints, gaps, conflicting duplicates, identical
+//! duplicates, and torn tail records — and restarting a crashed shard by
+//! running it again on its directory.
 
 use dl2fence_campaign::stream::RUNS_FILE;
 use dl2fence_campaign::{
-    expand, merge, merge_with_opts, resume, run_shard, run_streaming, spec_fingerprint,
-    CampaignDir, CampaignSpec, Executor, RunResult, ShardSlice, SpillPolicy,
+    expand, merge, merge_with_opts, resume, run_shard, run_streaming, shard_plan, spec_fingerprint,
+    CampaignDir, CampaignSpec, Executor, RunResult, SpillPolicy,
 };
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -69,13 +70,7 @@ fn run_shards(base: &std::path::Path, count: usize) -> Vec<PathBuf> {
     (0..count)
         .map(|index| {
             let dir = base.join(format!("shard-{index}"));
-            run_shard(
-                &Executor::new(2),
-                &spec(),
-                ShardSlice { index, count },
-                &dir,
-            )
-            .unwrap();
+            run_shard(&Executor::new(2), &spec(), index, count, &dir).unwrap();
             dir
         })
         .collect()
@@ -97,9 +92,11 @@ fn three_shards_merge_byte_identical_to_a_single_machine_run() {
 
     // Each shard streamed only its strided slice and built no report.
     for (index, dir) in shards.iter().enumerate() {
-        let shard = ShardSlice { index, count: 3 };
         let log = std::fs::read_to_string(dir.join(RUNS_FILE)).unwrap();
-        assert_eq!(log.lines().count(), shard.owned_indices(total).count());
+        assert_eq!(
+            log.lines().count(),
+            shard_plan(index, 3, total).unwrap().len()
+        );
         assert!(!dir.join("report.json").exists());
     }
 
@@ -137,13 +134,7 @@ fn merge_refuses_mismatched_spec_fingerprints() {
     other.grid.fir = vec![0.4, 0.9];
     assert_ne!(spec_fingerprint(&spec()), spec_fingerprint(&other));
     let foreign = base.join("foreign");
-    run_shard(
-        &Executor::new(2),
-        &other,
-        ShardSlice { index: 1, count: 2 },
-        &foreign,
-    )
-    .unwrap();
+    run_shard(&Executor::new(2), &other, 1, 2, &foreign).unwrap();
 
     let inputs = vec![shards[0].clone(), foreign];
     let err = merge(&Executor::new(2), &inputs, base.join("merged")).unwrap_err();
@@ -166,8 +157,9 @@ fn merge_reports_the_exact_gap_list_when_a_shard_is_missing() {
     let inputs = vec![shards[0].clone(), shards[2].clone()];
     let err = merge(&Executor::new(2), &inputs, base.join("merged")).unwrap_err();
     let message = err.to_string();
-    let expected: Vec<String> = ShardSlice { index: 1, count: 3 }
-        .owned_indices(total)
+    let expected: Vec<String> = shard_plan(1, 3, total)
+        .unwrap()
+        .iter()
         .map(|i| i.to_string())
         .collect();
     assert!(
@@ -297,18 +289,63 @@ fn torn_tail_records_are_healed_exactly_as_resume_heals_them() {
         "got: {err}"
     );
 
-    // ...and resuming the shard re-executes exactly that run (healing the
-    // torn line away first, as resume always does), after which the merge
-    // succeeds byte-identically.
+    // ...resuming a shard directory only heals the torn line away (only the
+    // shard's own command knows what it owns), so the gap stays...
     assert!(resume(&Executor::new(2), &shards[0], Some(&spec()))
         .unwrap()
         .is_none());
     let healed = std::fs::read_to_string(&log_path).unwrap();
-    assert_eq!(healed.lines().count(), pristine.lines().count());
+    assert_eq!(healed.lines().count(), pristine.lines().count() - 1);
     let dir = CampaignDir::open(&shards[0]).unwrap();
     let index = dir.index_log(&expand(&spec()).unwrap()).unwrap();
     assert!(!index.truncated_tail, "resume must heal the torn tail");
+    assert!(merge(&Executor::new(2), &shards, base.join("merged-still-gapped")).is_err());
+
+    // ...and re-running the same shard re-executes exactly that run, after
+    // which the merge succeeds byte-identically.
+    assert_eq!(
+        run_shard(&Executor::new(2), &spec(), 0, 2, &shards[0]).unwrap(),
+        1
+    );
+    let restarted = std::fs::read_to_string(&log_path).unwrap();
+    assert_eq!(restarted.lines().count(), pristine.lines().count());
     let report = merge(&Executor::new(2), &shards, base.join("merged-healed")).unwrap();
+    assert_eq!(&report.to_json(), reference_json());
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// A shard killed mid-append leaves a torn record and a partial log; the
+/// same shard command run again on its directory heals the tail, skips what
+/// is stored, executes only the rest, and the merge is byte-identical.
+#[test]
+fn a_killed_shard_restarted_with_the_same_command_merges_byte_identically() {
+    let base = temp_root("restart");
+    let shards = run_shards(&base, 3);
+    let total = expand(&spec()).unwrap().len();
+    let plan = shard_plan(1, 3, total).unwrap();
+    assert!(plan.len() >= 2, "the restart needs a partial shard");
+
+    // Kill shard 1 after its first record, mid-way through the second.
+    let log_path = shards[1].join(RUNS_FILE);
+    let log = std::fs::read_to_string(&log_path).unwrap();
+    let lines: Vec<&str> = log.lines().collect();
+    std::fs::write(
+        &log_path,
+        format!("{}\n{}", lines[0], &lines[1][..lines[1].len() / 2]),
+    )
+    .unwrap();
+
+    let executed = run_shard(&Executor::new(2), &spec(), 1, 3, &shards[1]).unwrap();
+    assert_eq!(
+        executed,
+        plan.len() - 1,
+        "only the unstored runs re-execute"
+    );
+    let restarted = std::fs::read_to_string(&log_path).unwrap();
+    assert_eq!(restarted.lines().count(), plan.len());
+    assert!(restarted.starts_with(&format!("{}\n", lines[0])));
+
+    let report = merge(&Executor::new(3), &shards, base.join("merged")).unwrap();
     assert_eq!(&report.to_json(), reference_json());
     std::fs::remove_dir_all(&base).unwrap();
 }

@@ -276,20 +276,23 @@ fn status_reports_progress_gaps_spill_and_union() {
 fn shard_status_counts_owned_indices_only() {
     let spec = sample_heavy_spec();
     let root = temp_root("shard-status");
-    let shard = dl2fence_campaign::ShardSlice { index: 1, count: 3 };
-    dl2fence_campaign::run_shard(&Executor::new(2), &spec, shard, &root).unwrap();
+    dl2fence_campaign::run_shard(&Executor::new(2), &spec, 1, 3, &root).unwrap();
     let total = expand(&spec).unwrap().len();
 
     let report = status(std::slice::from_ref(&root)).unwrap();
     let dir_status = &report.dirs[0];
-    assert_eq!(dir_status.shard, Some(shard));
+    assert_eq!(dir_status.worker.as_deref(), Some("shard-1-of-3"));
     assert_eq!(dir_status.total_runs, total);
-    assert_eq!(dir_status.owned_runs, shard.owned_indices(total).count());
+    assert_eq!(
+        dir_status.owned_runs,
+        dl2fence_campaign::shard_plan(1, 3, total).unwrap().len()
+    );
     assert_eq!(dir_status.completed, dir_status.owned_runs);
     assert!(
         dir_status.missing.is_empty(),
-        "a complete shard owes nothing"
+        "a shard is a worker directory: its gaps show in the union view"
     );
     assert!(!dir_status.report_written, "shards build no report");
+    assert!(report.render().contains("[worker shard-1-of-3]"));
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -6,6 +6,7 @@
 //! dl2fence-serve status <status.json|dir> [--json]
 //! ```
 
+use dl2fence_campaign::output::write_stdout;
 use dl2fence_campaign::CampaignSpec;
 use dl2fence_serve::{run_soak, ServeConfig, ServeStatus, SoakOptions};
 use std::path::{Path, PathBuf};
@@ -99,12 +100,12 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     if json {
-        println!("{}", report.status.to_json());
+        write_stdout(&format!("{}\n", report.status.to_json()));
         for f in &report.failures {
             eprintln!("FAIL: {f}");
         }
     } else {
-        print!("{}", report.render());
+        write_stdout(&report.render());
     }
     Ok(if report.passed() {
         ExitCode::SUCCESS
@@ -133,9 +134,9 @@ fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let status = ServeStatus::from_json(&text).map_err(|e| e.to_string())?;
     if json {
-        println!("{}", status.to_json());
+        write_stdout(&format!("{}\n", status.to_json()));
     } else {
-        print!("{}", status.render());
+        write_stdout(&status.render());
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -38,7 +38,7 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct SoakOptions {
     /// The campaign that generates the traffic and training corpus. Its
-    /// first mesh size defines the served shape; `sim.collect_samples` is
+    /// first topology defines the served shape; `sim.collect_samples` is
     /// forced on.
     pub spec: CampaignSpec,
     /// Service tuning (worker pool, batch size, ring capacity, tenants).
@@ -164,14 +164,15 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     // ---- Load generation: the campaign engine produces the traffic. ----
     let mut spec = options.spec.clone();
     spec.sim.collect_samples = true;
-    // One served shape per soak, whichever axis the spec used.
+    // One served shape per soak, whichever axis the spec used (a loaded
+    // spec has its legacy `grid.mesh` already moved into `grid.topology`).
     spec.grid.topology.truncate(1);
     spec.grid.mesh.truncate(1);
-    let mesh = *spec
-        .grid
-        .mesh
+    let topology = *spec
+        .resolved_topologies()
+        .map_err(|e| e.to_string())?
         .first()
-        .ok_or_else(|| "spec has no mesh sizes".to_string())?;
+        .ok_or_else(|| "spec has no topology".to_string())?;
     let outcome = Executor::new(options.sim_workers.max(1))
         .execute(&spec)
         .map_err(|e| e.to_string())?;
@@ -186,7 +187,7 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     let fence_cfg = FenceConfig {
         detection_feature: det_kind,
         localization_feature: loc_kind,
-        ..FenceConfig::new(mesh, mesh)
+        ..FenceConfig::new(topology.rows(), topology.cols())
             .with_epochs(spec.eval.detector_epochs, spec.eval.localizer_epochs)
     };
     let mut fence = Dl2Fence::new(fence_cfg);

@@ -196,3 +196,33 @@ fn status_json_round_trips_with_populated_histograms() {
     );
     service.shutdown();
 }
+
+/// `dl2fence-serve status` into a closed pipe (`... | head -0`) ends quietly
+/// instead of panicking on the broken pipe.
+#[test]
+fn status_into_a_closed_pipe_exits_quietly() {
+    let fix = fixture();
+    let service =
+        DetectionService::new(small_config(), ModelBundle::f32_only(fix.export_a.clone()));
+    let status = service.status();
+    service.shutdown();
+    let dir = std::env::temp_dir().join(format!("dl2fence-serve-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("status.json"), status.to_json()).unwrap();
+    for json in [false, true] {
+        // The read end is closed before the command starts, so its first
+        // write to stdout fails with a broken pipe.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_dl2fence-serve"));
+        cmd.arg("status").arg(&dir).stdout(writer);
+        if json {
+            cmd.arg("--json");
+        }
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.status.success(), "{:?}\n{stderr}", out.status);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

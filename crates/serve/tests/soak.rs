@@ -4,6 +4,7 @@
 
 use dl2fence_campaign::CampaignSpec;
 use dl2fence_serve::{run_soak, ServeConfig, SoakOptions};
+use std::path::Path;
 
 fn soak_spec() -> CampaignSpec {
     let mut spec = CampaignSpec::quick("serve-soak-test");
@@ -32,6 +33,25 @@ fn options(quantized: bool) -> SoakOptions {
         max_p99_e2e_us: 60_000_000,
         sim_workers: 2,
     }
+}
+
+/// The committed soak spec, loaded through the CLI's loader: loading moves
+/// its legacy `grid.mesh = [8]` into `grid.topology`, and the soak must take
+/// the served shape from there (it used to fail with "spec has no mesh
+/// sizes").
+#[test]
+fn the_committed_soak_spec_runs_through_the_cli_loader() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/serve_soak.toml");
+    let spec = CampaignSpec::from_path(Path::new(path)).unwrap();
+    assert!(spec.grid.mesh.is_empty());
+    assert_eq!(spec.grid.topology, vec!["mesh8".to_string()]);
+    let report = run_soak(&SoakOptions {
+        spec,
+        ..options(false)
+    })
+    .expect("soak must run");
+    assert!(report.passed(), "{}", report.render());
+    assert!(report.verdicts_audited > 0);
 }
 
 #[test]

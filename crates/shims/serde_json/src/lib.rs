@@ -366,8 +366,10 @@ impl<'a> Parser<'a> {
                                     return Err(Error::new("unpaired surrogate"));
                                 }
                                 let low = self.hex4()?;
-                                let combined =
-                                    0x10000 + ((code - 0xD800) << 10) + (low.wrapping_sub(0xDC00));
+                                if !(0xDC00..=0xDFFF).contains(&low) {
+                                    return Err(Error::new("unpaired surrogate"));
+                                }
+                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                                 char::from_u32(combined)
                                     .ok_or_else(|| Error::new("invalid surrogate pair"))?
                             } else {
@@ -506,11 +508,18 @@ mod tests {
         assert!(from_str::<Value>("\"open").is_err());
         assert!(from_str::<Value>("12 34").is_err());
         assert!(from_str::<Value>("").is_err());
+        // A high surrogate must be followed by a low one (DC00..=DFFF).
+        assert!(from_str::<Value>(r#""\uD800\uE000""#).is_err());
+        assert!(from_str::<Value>(r#""\uD800\u0041""#).is_err());
+        assert!(from_str::<Value>(r#""\uD800x""#).is_err());
+        assert!(from_str::<Value>(r#""\uDC00""#).is_err());
     }
 
     #[test]
     fn unicode_escapes_parse() {
         let v: String = from_str(r#""Aé 😀""#).unwrap();
         assert_eq!(v, "Aé 😀");
+        let pair: String = from_str(r#""\uD83D\uDE00""#).unwrap();
+        assert_eq!(pair, "😀");
     }
 }

@@ -2,12 +2,15 @@
 //!
 //! Events are serialized one per line as flat JSON objects with a fixed
 //! field order, written by [`crate::JsonlSink`] and read back by
-//! [`Event::parse`]. The format is hand-rolled (this crate is
-//! dependency-free) and restricted to what events need: string values,
-//! `u64` numbers and arrays of `u64`. Every number is an integer count or a
-//! microsecond duration — no floats, so emit→parse→emit is byte-identical.
+//! [`Event::parse`]. Both go through the workspace's one JSON codec
+//! (`serde_json`): an event is built as, and read back from, a
+//! [`serde::Value`] object. The format is restricted to what events need:
+//! string values, `u64` numbers and arrays of `u64`. Every number is an
+//! integer count or a microsecond duration — no floats, so
+//! emit→parse→emit is byte-identical.
 
 use crate::hist::Histogram;
+use serde::Value;
 
 /// One telemetry event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,78 +77,75 @@ impl Event {
 
     /// Serializes the event as one JSON line (no trailing newline).
     pub fn emit(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"seq\":");
-        push_u64(&mut s, self.seq);
-        s.push_str(",\"t_us\":");
-        push_u64(&mut s, self.t_us);
-        s.push_str(",\"worker\":");
-        push_u64(&mut s, self.worker);
+        let num = Value::UInt;
+        let (kind, name) = match &self.data {
+            EventData::Span { name, .. } => ("span", name),
+            EventData::Counter { name, .. } => ("counter", name),
+            EventData::Hist { name, .. } => ("hist", name),
+        };
+        let mut fields = vec![
+            ("seq", num(self.seq)),
+            ("t_us", num(self.t_us)),
+            ("worker", num(self.worker)),
+            ("kind", Value::Str(kind.to_string())),
+            ("name", Value::Str(name.clone())),
+        ];
         match &self.data {
             EventData::Span {
-                name,
                 dur_us,
                 parent,
                 index,
+                ..
             } => {
-                s.push_str(",\"kind\":\"span\",\"name\":");
-                push_str(&mut s, name);
-                s.push_str(",\"dur_us\":");
-                push_u64(&mut s, *dur_us);
+                fields.push(("dur_us", num(*dur_us)));
                 if let Some(p) = parent {
-                    s.push_str(",\"parent\":");
-                    push_str(&mut s, p);
+                    fields.push(("parent", Value::Str(p.clone())));
                 }
                 if let Some(i) = index {
-                    s.push_str(",\"index\":");
-                    push_u64(&mut s, *i);
+                    fields.push(("index", num(*i)));
                 }
             }
-            EventData::Counter { name, delta, index } => {
-                s.push_str(",\"kind\":\"counter\",\"name\":");
-                push_str(&mut s, name);
-                s.push_str(",\"delta\":");
-                push_u64(&mut s, *delta);
+            EventData::Counter { delta, index, .. } => {
+                fields.push(("delta", num(*delta)));
                 if let Some(i) = index {
-                    s.push_str(",\"index\":");
-                    push_u64(&mut s, *i);
+                    fields.push(("index", num(*i)));
                 }
             }
             EventData::Hist {
-                name,
                 count,
                 sum_us,
                 max_us,
                 buckets,
-            } => {
-                s.push_str(",\"kind\":\"hist\",\"name\":");
-                push_str(&mut s, name);
-                s.push_str(",\"count\":");
-                push_u64(&mut s, *count);
-                s.push_str(",\"sum_us\":");
-                push_u64(&mut s, *sum_us);
-                s.push_str(",\"max_us\":");
-                push_u64(&mut s, *max_us);
-                s.push_str(",\"buckets\":[");
-                for (i, b) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    push_u64(&mut s, *b);
-                }
-                s.push(']');
-            }
+                ..
+            } => fields.extend([
+                ("count", num(*count)),
+                ("sum_us", num(*sum_us)),
+                ("max_us", num(*max_us)),
+                (
+                    "buckets",
+                    Value::Array(buckets.iter().map(|&b| num(b)).collect()),
+                ),
+            ]),
         }
-        s.push('}');
-        s
+        let object = Value::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        );
+        serde_json::to_string(&object).expect("event serialization cannot fail")
     }
 
     /// Parses one JSON event line produced by [`Event::emit`].
     ///
     /// Field order is not significant on input; unknown fields are rejected
-    /// so schema drift is caught loudly rather than silently dropped.
+    /// so schema drift is caught loudly rather than silently dropped, and
+    /// every number must be a `u64`.
     pub fn parse(line: &str) -> Result<Event, ParseError> {
-        let fields = parse_object(line)?;
+        let value = serde_json::parse_value(line).map_err(|e| ParseError(e.to_string()))?;
+        let Value::Object(fields) = value else {
+            return Err(ParseError("expected an object".into()));
+        };
         let mut seq = None;
         let mut t_us = None;
         let mut worker = None;
@@ -161,19 +161,25 @@ impl Event {
         let mut buckets = None;
         for (key, value) in fields {
             match (key.as_str(), value) {
-                ("seq", Value::Num(n)) => seq = Some(n),
-                ("t_us", Value::Num(n)) => t_us = Some(n),
-                ("worker", Value::Num(n)) => worker = Some(n),
+                ("seq", Value::UInt(n)) => seq = Some(n),
+                ("t_us", Value::UInt(n)) => t_us = Some(n),
+                ("worker", Value::UInt(n)) => worker = Some(n),
                 ("kind", Value::Str(s)) => kind = Some(s),
                 ("name", Value::Str(s)) => name = Some(s),
-                ("dur_us", Value::Num(n)) => dur_us = Some(n),
+                ("dur_us", Value::UInt(n)) => dur_us = Some(n),
                 ("parent", Value::Str(s)) => parent = Some(s),
-                ("index", Value::Num(n)) => index = Some(n),
-                ("delta", Value::Num(n)) => delta = Some(n),
-                ("count", Value::Num(n)) => count = Some(n),
-                ("sum_us", Value::Num(n)) => sum_us = Some(n),
-                ("max_us", Value::Num(n)) => max_us = Some(n),
-                ("buckets", Value::Arr(a)) => buckets = Some(a),
+                ("index", Value::UInt(n)) => index = Some(n),
+                ("delta", Value::UInt(n)) => delta = Some(n),
+                ("count", Value::UInt(n)) => count = Some(n),
+                ("sum_us", Value::UInt(n)) => sum_us = Some(n),
+                ("max_us", Value::UInt(n)) => max_us = Some(n),
+                ("buckets", Value::Array(items)) => {
+                    let counts = items.into_iter().map(|item| match item {
+                        Value::UInt(n) => Ok(n),
+                        _ => Err(ParseError("`buckets` holds a non-u64 value".into())),
+                    });
+                    buckets = Some(counts.collect::<Result<Vec<u64>, _>>()?);
+                }
                 (k, _) => return Err(ParseError(format!("unexpected field `{k}`"))),
             }
         }
@@ -237,257 +243,6 @@ impl std::fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-fn push_u64(s: &mut String, n: u64) {
-    use std::fmt::Write;
-    let _ = write!(s, "{n}");
-}
-
-fn push_str(s: &mut String, value: &str) {
-    s.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                s.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// The restricted value space of event JSON.
-enum Value {
-    Str(String),
-    Num(u64),
-    Arr(Vec<u64>),
-}
-
-/// A minimal cursor over the byte representation of one JSON line.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Cursor {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(ParseError(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, ParseError> {
-        let start = self.pos;
-        let mut n: u64 = 0;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            n = n
-                .checked_mul(10)
-                .and_then(|n| n.checked_add(u64::from(b - b'0')))
-                .ok_or_else(|| ParseError(format!("number overflow at byte {start}")))?;
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(ParseError(format!("expected a number at byte {start}")));
-        }
-        Ok(n)
-    }
-
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self
-                .peek()
-                .ok_or_else(|| ParseError("unterminated string".into()))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| ParseError("unterminated escape".into()))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => out.push(self.parse_unicode_escape()?),
-                        other => {
-                            return Err(ParseError(format!("bad escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at the byte we
-                    // just consumed; the input is a &str so it is valid UTF-8.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| ParseError("truncated UTF-8".into()))?;
-                    out.push_str(
-                        std::str::from_utf8(chunk)
-                            .map_err(|_| ParseError("invalid UTF-8".into()))?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, ParseError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let b = self
-                .peek()
-                .ok_or_else(|| ParseError("truncated \\u escape".into()))?;
-            self.pos += 1;
-            let d = match b {
-                b'0'..=b'9' => u32::from(b - b'0'),
-                b'a'..=b'f' => u32::from(b - b'a') + 10,
-                b'A'..=b'F' => u32::from(b - b'A') + 10,
-                _ => return Err(ParseError("bad hex digit in \\u escape".into())),
-            };
-            v = v * 16 + d;
-        }
-        Ok(v)
-    }
-
-    fn parse_unicode_escape(&mut self) -> Result<char, ParseError> {
-        let hi = self.parse_hex4()?;
-        if (0xD800..=0xDBFF).contains(&hi) {
-            // Surrogate pair: expect a following \uDCxx low surrogate.
-            self.expect(b'\\')?;
-            self.expect(b'u')?;
-            let lo = self.parse_hex4()?;
-            if !(0xDC00..=0xDFFF).contains(&lo) {
-                return Err(ParseError("unpaired surrogate".into()));
-            }
-            let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-            char::from_u32(cp).ok_or_else(|| ParseError("invalid surrogate pair".into()))
-        } else {
-            char::from_u32(hi).ok_or_else(|| ParseError("invalid \\u escape".into()))
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Vec<u64>, ParseError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.parse_u64()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(ParseError("expected `,` or `]` in array".into())),
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => Ok(Value::Arr(self.parse_array()?)),
-            Some(b'0'..=b'9') => Ok(Value::Num(self.parse_u64()?)),
-            _ => Err(ParseError(format!("expected a value at byte {}", self.pos))),
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    if first < 0x80 {
-        1
-    } else if first < 0xE0 {
-        2
-    } else if first < 0xF0 {
-        3
-    } else {
-        4
-    }
-}
-
-fn parse_object(line: &str) -> Result<Vec<(String, Value)>, ParseError> {
-    let mut c = Cursor::new(line);
-    c.skip_ws();
-    c.expect(b'{')?;
-    let mut fields = Vec::new();
-    c.skip_ws();
-    if c.peek() == Some(b'}') {
-        c.pos += 1;
-    } else {
-        loop {
-            c.skip_ws();
-            let key = c.parse_string()?;
-            c.skip_ws();
-            c.expect(b':')?;
-            let value = c.parse_value()?;
-            fields.push((key, value));
-            c.skip_ws();
-            match c.peek() {
-                Some(b',') => c.pos += 1,
-                Some(b'}') => {
-                    c.pos += 1;
-                    break;
-                }
-                _ => return Err(ParseError("expected `,` or `}` in object".into())),
-            }
-        }
-    }
-    c.skip_ws();
-    if c.pos != c.bytes.len() {
-        return Err(ParseError(format!("trailing bytes at {}", c.pos)));
-    }
-    Ok(fields)
-}
 
 #[cfg(test)]
 mod tests {
@@ -582,6 +337,109 @@ mod tests {
         assert!(Event::parse("{\"seq\":1").is_err());
         assert!(Event::parse("{\"seq\":1,\"bogus\":2}").is_err());
         assert!(Event::parse("not json at all").is_err());
+    }
+
+    /// The `events.jsonl` line format, pinned byte for byte: one span, one
+    /// counter and two hist lines whose names cover every string-escape
+    /// branch (quote, backslash, `\n`, `\r`, `\t`, other control bytes as
+    /// `\u00xx`, and verbatim `/`, DEL and non-ASCII).
+    #[test]
+    fn emitted_lines_are_pinned() {
+        let cases = [
+            (
+                Event {
+                    seq: 7,
+                    t_us: 123,
+                    worker: 2,
+                    data: EventData::Span {
+                        name: "run \"q\" \\ /".into(),
+                        dur_us: 456,
+                        parent: Some("p\n\r\t".into()),
+                        index: Some(9),
+                    },
+                },
+                r#"{"seq":7,"t_us":123,"worker":2,"kind":"span","name":"run \"q\" \\ /","dur_us":456,"parent":"p\n\r\t","index":9}"#,
+            ),
+            (
+                Event {
+                    seq: 1,
+                    t_us: 2,
+                    worker: 3,
+                    data: EventData::Counter {
+                        name: "ctl\u{1}\u{1f}\u{7f}é🦀".into(),
+                        delta: 5,
+                        index: None,
+                    },
+                },
+                "{\"seq\":1,\"t_us\":2,\"worker\":3,\"kind\":\"counter\",\"name\":\
+                 \"ctl\\u0001\\u001f\u{7f}é🦀\",\"delta\":5}",
+            ),
+            (
+                Event {
+                    seq: u64::MAX,
+                    t_us: 0,
+                    worker: 0,
+                    data: EventData::Hist {
+                        name: "stage.detect".into(),
+                        count: 3,
+                        sum_us: 300,
+                        max_us: 200,
+                        buckets: vec![0, 1, 2],
+                    },
+                },
+                r#"{"seq":18446744073709551615,"t_us":0,"worker":0,"kind":"hist","name":"stage.detect","count":3,"sum_us":300,"max_us":200,"buckets":[0,1,2]}"#,
+            ),
+            (
+                Event {
+                    seq: 4,
+                    t_us: 5,
+                    worker: 6,
+                    data: EventData::Hist {
+                        name: String::new(),
+                        count: 0,
+                        sum_us: 0,
+                        max_us: 0,
+                        buckets: Vec::new(),
+                    },
+                },
+                r#"{"seq":4,"t_us":5,"worker":6,"kind":"hist","name":"","count":0,"sum_us":0,"max_us":0,"buckets":[]}"#,
+            ),
+        ];
+        for (event, line) in cases {
+            assert_eq!(event.emit(), line);
+            assert_eq!(Event::parse(line).unwrap(), event);
+        }
+    }
+
+    /// Lines outside the event format stay rejected: unknown fields,
+    /// trailing bytes, numbers that are not `u64`, wrongly typed values and
+    /// malformed surrogate escapes.
+    #[test]
+    fn rejects_lines_outside_the_event_format() {
+        let ok = r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":"c","delta":4}"#;
+        assert!(Event::parse(ok).is_ok());
+        for bad in [
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":"c","delta":4,"x":1}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":"c","delta":4} x"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":"c","delta":4}{}"#,
+            r#"{"seq":-1,"t_us":2,"worker":3,"kind":"counter","name":"c","delta":4}"#,
+            r#"{"seq":1.5,"t_us":2,"worker":3,"kind":"counter","name":"c","delta":4}"#,
+            r#"{"seq":1e3,"t_us":2,"worker":3,"kind":"counter","name":"c","delta":4}"#,
+            r#"{"seq":18446744073709551616,"t_us":2,"worker":3,"kind":"counter","name":"c","delta":4}"#,
+            r#"{"seq":"1","t_us":2,"worker":3,"kind":"counter","name":"c","delta":4}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":null,"delta":4}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":"c","delta":true}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"gauge","name":"c","delta":4}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"hist","name":"h","count":1,"sum_us":1,"max_us":1,"buckets":[1,-1]}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"hist","name":"h","count":1,"sum_us":1,"max_us":1,"buckets":[0.5]}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":"\uD800\uE000","delta":4}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":"\uD800\u0041","delta":4}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":"\uD800A","delta":4}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":"\uD800","delta":4}"#,
+            r#"{"seq":1,"t_us":2,"worker":3,"kind":"counter","name":"\uDC00","delta":4}"#,
+        ] {
+            assert!(Event::parse(bad).is_err(), "accepted: {bad}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! `dl2fence-telemetry`: std-only structured observability.
+//! `dl2fence-telemetry`: structured observability on std plus the in-tree
+//! `serde_json` codec.
 //!
 //! The crate is split along the hot/cold boundary:
 //!

@@ -1,13 +1,14 @@
 //! Cross-machine sharding demo: split one campaign into three shards (as
-//! three machines would each run one), merge the shard directories, and
-//! verify the merged report is byte-identical to a single-machine run.
+//! three machines would each run one), crash one shard and restart it with
+//! the same call, merge the shard directories, and verify the merged
+//! report is byte-identical to a single-machine run.
 //!
 //! ```bash
 //! cargo run --release --example sharded_campaign
 //! ```
 
 use dl2fence_campaign::{
-    expand, merge, run_shard, run_streaming, spec_fingerprint, CampaignSpec, Executor, ShardSlice,
+    expand, merge, run_shard, run_streaming, spec_fingerprint, CampaignSpec, Executor,
 };
 
 const SPEC: &str = r#"
@@ -45,22 +46,32 @@ fn main() {
     );
 
     // One machine per shard: each executes the strided slice of the matrix
-    // it owns into an ordinary campaign directory (in production these run
+    // it owns into its worker directory (in production these run
     // concurrently on different hosts and the directories are rsync'd back).
     let mut shard_dirs = Vec::new();
     for index in 0..SHARDS {
-        let shard = ShardSlice {
-            index,
-            count: SHARDS,
-        };
         let dir = root.join(format!("shard-{index}"));
-        let executed = run_shard(&executor, &spec, shard, &dir).expect("shard run");
+        let executed = run_shard(&executor, &spec, index, SHARDS, &dir).expect("shard run");
         println!(
             "shard {index}/{SHARDS}: {executed} runs streamed to {}",
             dir.display()
         );
         shard_dirs.push(dir);
     }
+
+    // A machine crashes mid-append: shard 1 keeps its first record and half
+    // of the second. Running the same shard again on its directory heals
+    // the torn tail and executes only the runs it has not stored.
+    let log_path = shard_dirs[1].join("runs.jsonl");
+    let log = std::fs::read_to_string(&log_path).expect("shard log");
+    let lines: Vec<&str> = log.lines().collect();
+    std::fs::write(
+        &log_path,
+        format!("{}\n{}", lines[0], &lines[1][..lines[1].len() / 2]),
+    )
+    .expect("crash the shard");
+    let executed = run_shard(&executor, &spec, 1, SHARDS, &shard_dirs[1]).expect("restart");
+    println!("shard 1/{SHARDS} restarted: {executed} runs re-executed");
 
     // Merge verifies the shared fingerprint, unions the run logs (refusing
     // gaps and conflicts) and rebuilds the report incrementally.
